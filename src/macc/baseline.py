@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .gf2 import build_air, gf2_solve_window
-from .model import Bits, CacheContent, CodedBlock, PlacementState, concat_bits, xor_bits
+from .model import Bits, CacheContent, CodedBlock, NetworkConfig, PlacementState, concat_bits, xor_bits
 
 
 @dataclass(frozen=True)
@@ -25,10 +25,7 @@ class BaselineParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", Fraction(self.M))
-        if self.K < 2 or not 1 <= self.L < self.K:
-            raise ValueError(f"need 1 <= L < K, got K={self.K}, L={self.L}")
-        if self.N < 1 or self.F < 1:
-            raise ValueError("N and F must be positive")
+        NetworkConfig(self.K, self.L, self.N, self.F, 1)  # validates K, L, N and F
         if not 0 <= self.M <= Fraction(self.N, self.L):
             raise ValueError(f"M={self.M} outside [0, N/L] = [0, {Fraction(self.N, self.L)}]")
         part = self.M * self.F / self.N

@@ -302,6 +302,12 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         if args.config:
             with open(args.config) as fh:
                 defaults = json.load(fh)
+            if not isinstance(defaults, dict):
+                raise UsageError("--config must hold a JSON object of flag defaults")
+            known = {a.dest for sp in parser.subcommand_parsers for a in sp._actions} - {"help"}
+            unknown = sorted(set(defaults) - known)
+            if unknown:
+                raise UsageError(f"--config keys no subcommand defines: {', '.join(unknown)}")
             for sp in parser.subcommand_parsers:
                 sp.set_defaults(**defaults)
             args = parser.parse_args(argv)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 from typing import Sequence
 
 from .model import (
@@ -57,34 +59,40 @@ class KeyMaterial:
     @classmethod
     def from_int(cls, K: int, t: int, N: int, x: int) -> "KeyMaterial":
         """Unpack an enumeration index, user-major then slot-major, MSB-first."""
-        total = K * t * N
-        if not 0 <= x < (1 << total):
+        if not 0 <= x < (1 << (K * t * N)):
             raise ValueError("key index out of range")
-        vecs = []
-        for i in range(K * t):
-            shift = total - (i + 1) * N
-            vecs.append((x >> shift) & ((1 << N) - 1))
-        p = tuple(tuple(vecs[k * t + a] for a in range(t)) for k in range(K))
-        return cls(K, t, N, None, p)
+        return cls(K, t, N, None, cls.unpack(K, t, N, x))
+
+    @staticmethod
+    def unpack(K: int, t: int, N: int, x: int) -> tuple[tuple[int, ...], ...]:
+        """The vectors p of index ``x``, unchecked: the int kernel under ``from_int``."""
+        mask = (1 << N) - 1
+        flat = [(x >> ((K * t - 1 - i) * N)) & mask for i in range(K * t)]
+        return tuple(tuple(flat[k * t : (k + 1) * t]) for k in range(K))
 
     def r(self, k: int) -> int:
         """Combined mask r_k, the XOR of user k's t vectors."""
-        out = 0
-        for v in self.p[k - 1]:
-            out ^= v
-        return out
+        return reduce(xor, self.p[k - 1], 0)
+
+
+def coeff_xor(coeff: int, column: Sequence[int]) -> int:
+    """XOR of the entries of ``column`` (one per file, file 1 first) the coefficient mask selects."""
+    return reduce(xor, (v for n, v in enumerate(column) if (coeff >> n) & 1), 0)
 
 
 def coeff_xor_subfiles(coeff: int, library: SubfileLibrary, j: int) -> Bits:
     """XOR of the j-th subfiles of the files selected by the coefficient mask."""
-    return xor_bits(
-        (library.subfile(n, j) for n in range(1, library.n_files + 1) if (coeff >> (n - 1)) & 1),
-        n=library.subfile_bits,
-    )
+    column = [library.subfile(n, j).v for n in range(1, library.n_files + 1)]
+    return Bits(library.subfile_bits, coeff_xor(coeff, column))
 
 
 def lifted_memory(M: Fraction, t: int, L: int, N: int) -> Fraction:
     return Fraction(M) + t * (1 - Fraction(L) * M / N)
+
+
+def virtual_config(cfg: NetworkConfig) -> NetworkConfig:
+    """The network the base scheme runs on after lifting: one virtual file per user."""
+    return NetworkConfig(cfg.K, cfg.L, cfg.K, cfg.F, cfg.subfiles_per_file)
 
 
 def share_cache(offsets: Sequence[int], k: int, alpha: int, K: int) -> int:
@@ -154,7 +162,7 @@ def lift_deliver(
     if len(demands) != cfg.K or any(not 1 <= d <= cfg.N for d in demands):
         raise ValueError(f"bad demand vector {tuple(demands)} for N={cfg.N}, K={cfg.K}")
     q = tuple(keys.r(k) ^ (1 << (demands[k - 1] - 1)) for k in range(1, cfg.K + 1))
-    vcfg = NetworkConfig(cfg.K, cfg.L, cfg.K, cfg.F, cfg.subfiles_per_file)
+    vcfg = virtual_config(cfg)
     vlib = SubfileLibrary(
         tuple(
             tuple(coeff_xor_subfiles(q[k], library, j) for j in range(1, cfg.subfiles_per_file + 1))
@@ -195,7 +203,7 @@ def lift_decode(
             n=cfg.subfile_bits,
         )
 
-    vcfg = NetworkConfig(cfg.K, cfg.L, cfg.K, cfg.F, cfg.subfiles_per_file)
+    vcfg = virtual_config(cfg)
     vfile = base.decode(vcfg, k, tx.payload, virtual, tuple(range(1, cfg.K + 1)))
 
     shares: dict[tuple[int, int], Bits] = {}

@@ -211,18 +211,6 @@ def library_from_int(N: int, subfiles_per_file: int, subfile_bits: int, x: int) 
     return SubfileLibrary(files)
 
 
-@dataclass(frozen=True)
-class DemandVector:
-    demands: tuple[int, ...]
-
-    def validated(self, cfg: NetworkConfig) -> "DemandVector":
-        if len(self.demands) != cfg.K:
-            raise ValueError(f"expected {cfg.K} demands, got {len(self.demands)}")
-        if any(not 1 <= d <= cfg.N for d in self.demands):
-            raise ValueError(f"demand out of range [1..{cfg.N}]: {self.demands}")
-        return self
-
-
 def all_demand_vectors(N: int, K: int) -> Iterator[tuple[int, ...]]:
     import itertools
 

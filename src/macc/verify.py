@@ -11,6 +11,16 @@ material) across the other users' demands. Two exact engines are provided:
   the budget.
 
 Both engines decide the identical condition; their agreement is itself tested.
+Each engine refuses before it enumerates when its state count exceeds the budget.
+
+Views come from the scheme code that runs, not from a model of it. A lifted
+scheme's layout (each user's cached subfiles and the key-share labels in its
+caches) is read from one ``lift_place`` call, and its payload from the base
+scheme's ``payload_plan`` over the virtual files. A non-private scheme is seen
+through its own ``place`` and ``deliver``, the baseline through
+``baseline_place`` and ``baseline_deliver``. The keyed loops work on ints
+through the same kernels as the ``Bits`` API (``KeyMaterial.unpack``,
+``coeff_xor``).
 """
 
 from __future__ import annotations
@@ -18,21 +28,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from operator import xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_decode, baseline_deliver, baseline_place
 from .lifting import (
     KeyMaterial,
+    coeff_xor,
     coeff_xor_subfiles,
     lift_decode,
     lift_deliver,
     lift_place,
-    share_cache,
+    virtual_config,
 )
 from .model import (
     Bits,
     NetworkConfig,
+    PlacementState,
     SubfileLibrary,
     accessible_caches,
     all_demand_vectors,
@@ -251,131 +264,89 @@ class PrivacyReport:
 
 # --------------------------------------------------------------------------
 # Enumerable wrappers: map integer indices to libraries/keys and emit views.
-# Canonical view order: accessible caches ascending (uncoded content by (j, n),
-# then coded blocks by label), Q column-major, payload blocks in plan order.
+# Views are read off the scheme's own placement and delivery. View order:
+# accessible caches ascending (uncoded content by (j, n), then coded blocks by
+# label), Q column-major, payload blocks in plan order.
 
 
-class _LiftedEnum:
-    def __init__(self, inst: LiftedInstance):
-        cfg, base = inst.cfg, inst.base
-        base.validate(cfg)
-        self.cfg = cfg
-        self.base = base
-        self.offsets = tuple(sorted(inst.offsets))
-        self.t = len(self.offsets)
-        self.N, self.K = cfg.N, cfg.K
-        self.s, self.b = cfg.subfiles_per_file, cfg.subfile_bits
-        self.lib_bits = self.N * self.s * self.b
-        self.key_bits = self.K * self.t * self.N
-        self.jmap = base.placement_map(cfg)
-        self.missing = {k: base.missing_subfile_indices(cfg, k) for k in range(1, self.K + 1)}
-        self.acc = {k: accessible_caches(k, cfg) for k in range(1, self.K + 1)}
-        vcfg = NetworkConfig(cfg.K, cfg.L, cfg.K, cfg.F, cfg.subfiles_per_file)
-        self.plan = base.payload_plan(vcfg, tuple(range(1, self.K + 1)))
-        # Visible key-share slots per user, in canonical cache-ascending order.
-        self.vis_slots: dict[int, tuple[tuple[int, int, int], ...]] = {}
-        for k in range(1, self.K + 1):
-            slots = []
-            for c in sorted(self.acc[k]):
-                for i in range(1, self.K + 1):
-                    for alpha in range(1, self.t + 1):
-                        if share_cache(self.offsets, i, alpha, self.K) == c:
-                            slots.extend((i, alpha, j) for j in self.missing[i])
-            self.vis_slots[k] = tuple(sorted(slots, key=lambda s: (share_cache(self.offsets, s[0], s[1], self.K), s)))
+class _SchemeEnum:
+    """A non-private scheme: its own placement and delivery, no keys."""
 
-    def lib_ctx(self, lib: int):
-        lo = library_from_int(self.N, self.s, self.b, lib)
-        cols = [[lo.subfile(n, j).v for n in range(1, self.N + 1)] for j in range(1, self.s + 1)]
-        static = {
-            k: tuple(
-                tuple(cols[j - 1][n - 1] for j in sorted(self.jmap[c - 1]) for n in range(1, self.N + 1))
-                for c in sorted(self.acc[k])
-            )
-            for k in range(1, self.K + 1)
-        }
-        return cols, static
-
-    def _vecs(self, key: int) -> list[list[int]]:
-        total, N = self.key_bits, self.N
-        mask = (1 << N) - 1
-        flat = [(key >> (total - (i + 1) * N)) & mask for i in range(self.K * self.t)]
-        return [flat[k * self.t : (k + 1) * self.t] for k in range(self.K)]
-
-    def _coeff_xor(self, cols, coeff: int, j: int) -> int:
-        v = 0
-        n = 1
-        col = cols[j - 1]
-        while coeff:
-            if coeff & 1:
-                v ^= col[n - 1]
-            coeff >>= 1
-            n += 1
-        return v
-
-    def key_ctx(self, ctx, key: int):
-        cols, _ = ctx
-        p = self._vecs(key)
-        blocks = {}
-        for k in range(1, self.K + 1):
-            for alpha in range(1, self.t + 1):
-                coeff = p[k - 1][alpha - 1]
-                for j in self.missing[k]:
-                    blocks[(k, alpha, j)] = self._coeff_xor(cols, coeff, j)
-        r = [0] * self.K
-        for k in range(self.K):
-            for v in p[k]:
-                r[k] ^= v
-        vis = [tuple(blocks[s] for s in self.vis_slots[k]) for k in range(1, self.K + 1)]
-        return r, vis
-
-    def user_views(self, ctx, kctx, demands: tuple[int, ...]):
-        cols, static = ctx
-        r, vis = kctx
-        q = tuple(r[i] ^ (1 << (demands[i] - 1)) for i in range(self.K))
-        payload = tuple(
-            _xor_ints(self._coeff_xor(cols, q[v - 1], j) for v, j in group)
-            for group in self.plan
-        )
-        return [
-            (static[k], vis[k - 1], q, payload) for k in range(1, self.K + 1)
-        ]
-
-
-class _NonPrivateEnum:
     key_bits = 0
 
     def __init__(self, inst: NonPrivateInstance):
-        cfg, scheme = inst.cfg, inst.scheme
-        scheme.validate(cfg)
-        self.cfg, self.scheme = cfg, scheme
-        self.N, self.K = cfg.N, cfg.K
-        self.s, self.b = cfg.subfiles_per_file, cfg.subfile_bits
-        self.lib_bits = self.N * self.s * self.b
-        self.jmap = scheme.placement_map(cfg)
-        self.acc = {k: accessible_caches(k, cfg) for k in range(1, self.K + 1)}
+        inst.scheme.validate(inst.cfg)
+        self.scheme = inst.scheme
+        self._layout(inst.cfg, inst.scheme.place(inst.cfg))
+
+    def _layout(self, cfg: NetworkConfig, placement: PlacementState) -> None:
+        self.cfg, self.N, self.K = cfg, cfg.N, cfg.K
+        self.lib_bits = cfg.N * cfg.F
+        self.windows = [
+            tuple(placement[c - 1] for c in sorted(accessible_caches(k, cfg)))
+            for k in range(1, self.K + 1)
+        ]
+        self.refs = [
+            tuple(tuple(sorted(c.uncoded, key=lambda ref: (ref[1], ref[0]))) for c in window)
+            for window in self.windows
+        ]
 
     def lib_ctx(self, lib: int):
-        lo = library_from_int(self.N, self.s, self.b, lib)
-        cols = [[lo.subfile(n, j).v for n in range(1, self.N + 1)] for j in range(1, self.s + 1)]
-        static = {
-            k: tuple(
-                tuple(cols[j - 1][n - 1] for j in sorted(self.jmap[c - 1]) for n in range(1, self.N + 1))
-                for c in sorted(self.acc[k])
-            )
-            for k in range(1, self.K + 1)
-        }
-        return cols, static
+        library = library_from_int(self.N, self.cfg.subfiles_per_file, self.cfg.subfile_bits, lib)
+        cached = [
+            tuple(tuple(library.subfile(n, j).v for n, j in cache) for cache in refs)
+            for refs in self.refs
+        ]
+        return library, cached
 
     def key_ctx(self, ctx, key: int):
         return None
 
-    def user_views(self, ctx, kctx, demands):
-        cols, static = ctx
-        plan = self.scheme.payload_plan(self.cfg, demands)
-        payload = tuple(
-            _xor_ints(cols[j - 1][n - 1] for n, j in group) for group in plan
+    def user_views(self, ctx, kctx, demands: tuple[int, ...]):
+        library, cached = ctx
+        payload, _ = self.scheme.deliver(self.cfg, library, demands)
+        return [(c, payload.v) for c in cached]
+
+
+class _LiftedEnum(_SchemeEnum):
+    """A lifted scheme: the layout of ``lift_place``, the base plan over virtual files."""
+
+    def __init__(self, inst: LiftedInstance):
+        cfg = inst.cfg
+        self.t = len(inst.offsets)
+        zero_library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0)
+        zero_keys = KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0)
+        self._layout(cfg, lift_place(inst.base, cfg, inst.offsets, zero_library, zero_keys, enforce_private=False))
+        self.key_bits = self.K * self.t * self.N
+        # Key-share labels (owner, alpha, j) in each user's caches, in view order.
+        self.shares = [tuple(cb.label[1:] for c in window for cb in c.coded) for window in self.windows]
+        self.plan = inst.base.payload_plan(virtual_config(cfg), tuple(range(1, self.K + 1)))
+
+    def lib_ctx(self, lib: int):
+        library, cached = super().lib_ctx(lib)
+        columns = (
+            [library.subfile(n, j).v for n in range(1, self.N + 1)]
+            for j in range(1, self.cfg.subfiles_per_file + 1)
         )
-        return [(static[k], payload) for k in range(1, self.K + 1)]
+        # xors[j-1][coeff]: the XOR of the j-th subfiles the coefficient mask selects.
+        xors = [[coeff_xor(coeff, column) for coeff in range(1 << self.N)] for column in columns]
+        return xors, cached
+
+    def key_ctx(self, ctx, key: int):
+        xors, _ = ctx
+        p = KeyMaterial.unpack(self.K, self.t, self.N, key)
+        r = [reduce(xor, pk, 0) for pk in p]
+        shares = [tuple(xors[j - 1][p[i - 1][a - 1]] for i, a, j in labels) for labels in self.shares]
+        return r, shares
+
+    def user_views(self, ctx, kctx, demands: tuple[int, ...]):
+        xors, cached = ctx
+        r, shares = kctx
+        q = tuple(r[i] ^ (1 << (d - 1)) for i, d in enumerate(demands))
+        payload = tuple(
+            reduce(xor, [xors[j - 1][q[v - 1]] for v, j in group], 0) for group in self.plan
+        )
+        return [(c, sh, q, payload) for c, sh in zip(cached, shares)]
 
 
 class _BaselineEnum:
@@ -409,18 +380,11 @@ class _BaselineEnum:
         return ctx  # demand-independent by construction
 
 
-def _xor_ints(vals) -> int:
-    out = 0
-    for v in vals:
-        out ^= v
-    return out
-
-
 def _make_enum(instance):
     if isinstance(instance, LiftedInstance):
         return _LiftedEnum(instance)
     if isinstance(instance, NonPrivateInstance):
-        return _NonPrivateEnum(instance)
+        return _SchemeEnum(instance)
     if isinstance(instance, BaselineInstance):
         return _BaselineEnum(instance)
     raise TypeError(f"unsupported instance {instance!r}")
@@ -432,10 +396,10 @@ def _make_enum(instance):
 
 def _full_engine(en, budget: int) -> PrivacyReport:
     N, K = en.N, en.K
-    demand_list = list(all_demand_vectors(N, K))
-    states = (1 << en.lib_bits) * (1 << en.key_bits) * len(demand_list)
+    states = (1 << en.lib_bits) * (1 << en.key_bits) * N**K
     if states > budget:
         raise BudgetExceededError(states, budget, "full privacy enumeration")
+    demand_list = list(all_demand_vectors(N, K))
     rest = [
         [d[:k] + d[k + 1 :] for d in demand_list] for k in range(K)
     ]
@@ -496,7 +460,7 @@ def _find_witness(hists, idxs, rests, lib, d_k):
     return None
 
 
-def _factored_engine(en: _LiftedEnum) -> PrivacyReport:
+def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
     """Exact privacy check exploiting per-user key independence.
 
     Given (w, d), the demand-dependent part of user k's view factorizes across
@@ -509,28 +473,27 @@ def _factored_engine(en: _LiftedEnum) -> PrivacyReport:
     n_libs = 1 << en.lib_bits
     per_user_keys = 1 << (t * N)
     states = n_libs * K * (K - 1) * per_user_keys * N
-    mask = (1 << N) - 1
+    if states > budget:
+        raise BudgetExceededError(states, budget, "factored privacy enumeration")
+    # One user's key draws: its t vectors and their combined mask r.
+    draws = []
+    for x in range(per_user_keys):
+        (p,) = KeyMaterial.unpack(1, t, N, x)
+        draws.append((p, reduce(xor, p, 0)))
+    # seen[k0-1][i-1]: the (alpha, j) of user i's key shares in user k0's caches.
+    seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in en.shares]
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     for lib in range(n_libs):
-        cols, _ = en.lib_ctx(lib)
+        xors, _ = en.lib_ctx(lib)
         for k0 in range(1, K + 1):
-            acc_set = set(en.acc[k0])
             for i in range(1, K + 1):
                 if i == k0:
                     continue
-                vis_alphas = [
-                    a for a in range(1, t + 1) if share_cache(en.offsets, i, a, K) in acc_set
-                ]
+                labels = seen[k0 - 1][i - 1]
                 joint: dict = {}
-                for x in range(per_user_keys):
-                    p = [(x >> (t * N - (a + 1) * N)) & mask for a in range(t)]
-                    blocks = tuple(
-                        en._coeff_xor(cols, p[a - 1], j)
-                        for a in vis_alphas
-                        for j in en.missing[i]
-                    )
-                    r = _xor_ints(p)
+                for p, r in draws:
+                    blocks = tuple(xors[j - 1][p[a - 1]] for a, j in labels)
                     for d_i in range(1, N + 1):
                         kk = (d_i, (blocks, r ^ (1 << (d_i - 1))))
                         joint[kk] = joint.get(kk, 0) + 1
@@ -555,6 +518,7 @@ def verify_privacy_exact(instance, budget: int = 10**8, engine: str = "auto") ->
 
     ``engine``: "full", "factored" (lifted schemes only), or "auto" (full when
     the state count fits the budget, else factored when available, else refuse).
+    Every engine refuses before enumerating when its state count exceeds the budget.
     """
     en = _make_enum(instance)
     if engine == "full":
@@ -562,38 +526,32 @@ def verify_privacy_exact(instance, budget: int = 10**8, engine: str = "auto") ->
     if engine == "factored":
         if not isinstance(en, _LiftedEnum):
             raise ValueError("factored engine applies to lifted schemes only")
-        return _factored_engine(en)
+        return _factored_engine(en, budget)
     if engine != "auto":
         raise ValueError(f"unknown engine {engine!r}")
-    demand_space = en.N**en.K
-    states = (1 << en.lib_bits) * (1 << en.key_bits) * demand_space
+    states = (1 << en.lib_bits) * (1 << en.key_bits) * en.N**en.K
     if states <= budget:
         return _full_engine(en, budget)
     if isinstance(en, _LiftedEnum):
-        return _factored_engine(en)
+        return _factored_engine(en, budget)
     raise BudgetExceededError(states, budget, "full privacy enumeration")
 
 
 # --------------------------------------------------------------------------
-# Proof-chain cross-check: conditioned on the key vectors visible to user k,
-# Q with column k removed is uniform over the N(K-1)-bit space.
+# Proof-chain cross-check: conditioned on the key vectors whose shares the
+# placement puts in user k's caches, Q with column k removed is uniform over
+# the N(K-1)-bit space.
 
 
 def q_complement_uniform(instance: LiftedInstance, k: int) -> bool:
     en = _LiftedEnum(instance)
     N, K, t = en.N, en.K, en.t
-    acc_set = set(en.acc[k])
-    visible_ids = [
-        (i, a)
-        for i in range(1, K + 1)
-        for a in range(1, t + 1)
-        if share_cache(en.offsets, i, a, K) in acc_set
-    ]
+    visible = sorted({(i, a) for i, a, _ in en.shares[k - 1]})
     hists: dict = {}
     for key in range(1 << en.key_bits):
-        p = en._vecs(key)
-        pk_val = tuple(p[i - 1][a - 1] for i, a in visible_ids)
-        r = [_xor_ints(p[i]) for i in range(K)]
+        p = KeyMaterial.unpack(K, t, N, key)
+        pk_val = tuple(p[i - 1][a - 1] for i, a in visible)
+        r = [reduce(xor, pi, 0) for pi in p]
         for d in all_demand_vectors(N, K):
             qrest = tuple(
                 r[i - 1] ^ (1 << (d[i - 1] - 1)) for i in range(1, K + 1) if i != k
@@ -638,7 +596,7 @@ def remark1_attack(
     tx = lift_deliver(base, cfg, keys, library, demands)
 
     window = accessible_caches(attacker, cfg)
-    j0 = base.missing_subfile_indices(cfg, victim)[0]
+    j0 = min(cb.label[3] for cache in placement for cb in cache.coded if cb.label[1] == victim)
     key_estimate = Bits.zeros(cfg.subfile_bits)
     for c in window:
         for cb in placement[c - 1].coded:

@@ -90,3 +90,18 @@ def test_config_file_defaults(tmp_path, capsys):
     assert main(["--config", str(cfg), "private-set"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["K"] == 7 and out["algorithm1"] == [1, 3, 5]
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"KK": 9, "budgett": 5}))
+    assert main(["--config", str(cfg), "private-set"]) == 2
+    err = capsys.readouterr().err
+    assert "KK" in err and "budgett" in err
+
+
+def test_verify_factored_budget_refusal_exit_three(capsys):
+    rc = main(["verify", "--scheme", "lifted:cyclic-uncoded", "--K", "4", "--L", "2",
+               "--N", "2", "--F", "16", "--budget", "1000"])
+    assert rc == 3
+    assert "factored privacy enumeration" in capsys.readouterr().err

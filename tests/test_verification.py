@@ -246,3 +246,61 @@ def test_nonprivate_runner_round_trip():
     run = make_nonprivate_runner(s, cfg, lib)
     rep = verify_decodability(run, 4, 2, [lib.file(1), lib.file(2)])
     assert rep.ok
+
+
+def _cross_check_instances():
+    # Every cyclic-uncoded instance at K=3, N=2, F=3 with a single key offset.
+    for L in (1, 2):
+        for tp in range(3 // L + 1):
+            for off in range(1, L + 1):
+                yield pytest.param(L, tp, (off,), id=f"L{L}-tp{tp}-off{off}")
+
+
+@pytest.mark.parametrize("L, tp, offsets", _cross_check_instances())
+def test_factored_engine_agrees_with_full_including_leaks(L, tp, offsets):
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(3, L, 2, 3, 3), offsets)
+    full = verify_privacy_exact(inst, engine="full")
+    fact = verify_privacy_exact(inst, engine="factored")
+    assert [v.private for v in full.users] == [v.private for v in fact.users]
+    for a, b in zip(full.users, fact.users):
+        if a.private:
+            assert a.mi_bits == b.mi_bits == Fraction(0)
+            assert isinstance(a.mi_bits, Fraction) and isinstance(b.mi_bits, Fraction)
+        else:
+            assert a.mi_bits == pytest.approx(b.mi_bits, abs=1e-9) and a.mi_bits > 0
+    # The single-offset key set is a private set only when L = 1.
+    assert full.private == (L == 1)
+
+
+@pytest.mark.parametrize(
+    "scheme, cfg, mi",
+    [
+        (make_scheme("example1"), NetworkConfig(3, 2, 2, 3, 3), 0.75),
+        (make_scheme("cyclic-uncoded", 1), NetworkConfig(4, 2, 2, 4, 4), 2.25),
+    ],
+    ids=["example1-N2", "cyclic-uncoded-K4-L2-tp1"],
+)
+def test_nonprivate_mi_values(scheme, cfg, mi):
+    rep = verify_privacy_exact(NonPrivateInstance(scheme, cfg), budget=10**6)
+    assert rep.engine == "full"
+    assert [v.mi_bits for v in rep.users] == pytest.approx([mi] * cfg.K, abs=1e-9)
+
+
+def test_factored_engine_honours_budget():
+    # 2^32 libraries: the factored state count is far past the budget, so the
+    # engine must refuse before it enumerates anything.
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", 1), NetworkConfig(4, 2, 2, 16, 4), (1,))
+    for engine in ("factored", "auto"):
+        with pytest.raises(BudgetExceededError) as exc:
+            verify_privacy_exact(inst, budget=1000, engine=engine)
+        assert exc.value.budget == 1000
+        assert exc.value.required == (1 << 32) * 4 * 3 * (1 << 2) * 2
+
+
+def test_baseline_params_rejects_bad_network():
+    with pytest.raises(ValueError):
+        BaselineParams(3, 2, 0, 6, Fraction(0))  # N = 0
+    with pytest.raises(ValueError):
+        BaselineParams(3, 2, 2, 0, Fraction(0))  # F = 0
+    with pytest.raises(ValueError):
+        BaselineParams(1, 1, 2, 6, Fraction(0))  # K = 1 leaves no room for L < K
