@@ -91,8 +91,8 @@ def cmd_verify(args) -> int:
         params = BaselineParams(args.K, args.L, args.N, F, M)
         files = [random_library(1, F, 1, args.seed + n).file(1) for n in range(args.N)]
         run = make_baseline_runner(params, files)
-        dec = verify_decodability(run, args.K, args.N, files)
         priv = verify_privacy_exact(BaselineInstance(params), budget=args.budget)
+        dec = verify_decodability(run, args.K, args.N, files)
         report["decodability"] = dec.to_dict()
         report["privacy"] = priv.to_dict()
         ok = dec.ok and priv.private
@@ -102,8 +102,8 @@ def cmd_verify(args) -> int:
         offsets, valid = private_set_offsets(args.private_set, cfg)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, args.seed)
         run = make_lifted_runner(base, cfg, offsets, library, enforce_private=valid)
-        dec = verify_decodability(run, cfg.K, cfg.N, [library.file(n) for n in range(1, cfg.N + 1)], seeds=seeds)
         priv = verify_privacy_exact(LiftedInstance(base, cfg, offsets), budget=args.budget)
+        dec = verify_decodability(run, cfg.K, cfg.N, [library.file(n) for n in range(1, cfg.N + 1)], seeds=seeds)
         report["private_set"] = list(offsets)
         report["decodability"] = dec.to_dict()
         report["privacy"] = priv.to_dict()
@@ -113,13 +113,13 @@ def cmd_verify(args) -> int:
         cfg = _nonprivate_cfg(args, base.name)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, args.seed)
         run = make_nonprivate_runner(base, cfg, library)
+        if args.expect_leak:
+            privacy = verify_privacy_exact(NonPrivateInstance(base, cfg), budget=args.budget).to_dict()
+        else:
+            privacy = {"skipped": "non-private scheme; rerun with --expect-leak to check"}
         dec = verify_decodability(run, cfg.K, cfg.N, [library.file(n) for n in range(1, cfg.N + 1)])
         report["decodability"] = dec.to_dict()
-        if args.expect_leak:
-            priv = verify_privacy_exact(NonPrivateInstance(base, cfg), budget=args.budget)
-            report["privacy"] = priv.to_dict()
-        else:
-            report["privacy"] = {"skipped": "non-private scheme; rerun with --expect-leak to check"}
+        report["privacy"] = privacy
         ok = dec.ok
 
     if args.expect_leak and "users" in report.get("privacy", {}):

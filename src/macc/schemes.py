@@ -1,14 +1,22 @@
 """Non-private multi-access schemes with uncoded, file-symmetric placement.
 
-Both shipped schemes satisfy condition C1 (pairwise-disjoint subfile sets across
-any user's accessible caches) and work for any file count N, which lets the
-lifting transform run them unmodified over virtual libraries.
+A scheme is two tables. ``placement_map`` gives the subfile indices each cache
+stores of every file. ``payload_plan`` gives, per demand vector, the ordered XOR
+groups of (file, subfile) references; the payload is the groups' blocks in
+order. ``NonPrivateScheme`` derives memory, rate, delivery, each user's layout
+(once per configuration) and decoding from the two. Decoding peels the plan: a
+block whose only term user k has not cached is a subfile of W_{d_k}, left once
+its cached terms are XORed off. A plan leaving a subfile unrecovered is a
+``LookupError``. Both shipped schemes satisfy condition C1 (pairwise-disjoint
+subfile sets across any user's accessible caches) and work for any file count
+N, so the lifting transform runs them unmodified over virtual libraries.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .model import (
@@ -23,16 +31,13 @@ from .model import (
     xor_bits,
 )
 
-# A payload plan is an ordered tuple of XOR groups; each group is a tuple of
-# (file, subfile) references whose XOR forms one payload block. The broadcast
-# payload is the concatenation of the groups in order.
 PayloadPlan = tuple[tuple[tuple[int, int], ...], ...]
 
 SubfileLookup = Callable[[int, int], Bits]
 
 
 class NonPrivateScheme(ABC):
-    """Behavioral contract: placement map, deterministic delivery, per-user decode.
+    """Behavioral contract: a placement map and a payload plan.
 
     Decode receives the full demand vector: in the non-private setting every
     user learns all demands during delivery.
@@ -51,26 +56,27 @@ class NonPrivateScheme(ABC):
     def subfiles_per_file(self, cfg: NetworkConfig) -> int: ...
 
     @abstractmethod
-    def memory_per_cache(self, cfg: NetworkConfig) -> Fraction:
-        """Per-cache memory M in file units."""
-
-    @abstractmethod
     def placement_map(self, cfg: NetworkConfig) -> tuple[frozenset[int], ...]:
         """For each cache k, the subfile indices j stored (for every file n)."""
 
     @abstractmethod
     def payload_plan(self, cfg: NetworkConfig, demands: Sequence[int]) -> PayloadPlan: ...
 
-    @abstractmethod
-    def decode(
-        self,
-        cfg: NetworkConfig,
-        k: int,
-        payload: Bits,
-        lookup: SubfileLookup,
-        demands: Sequence[int],
-    ) -> Bits:
-        """Recover W_{d_k} from the payload and cached subfiles (via `lookup`)."""
+    @lru_cache(maxsize=256)
+    def _layout(self, cfg: NetworkConfig) -> tuple[tuple[frozenset[int], tuple[int, ...]], ...]:
+        """Each user's (stored, missing) subfile indices, from one ``placement_map`` call."""
+        jmap = self.placement_map(cfg)
+        layout = []
+        for k in range(1, cfg.K + 1):
+            stored = frozenset().union(*(jmap[c - 1] for c in accessible_caches(k, cfg)))
+            missing = tuple(j for j in range(1, cfg.subfiles_per_file + 1) if j not in stored)
+            layout.append((stored, missing))
+        return tuple(layout)
+
+    def memory_per_cache(self, cfg: NetworkConfig) -> Fraction:
+        """Per-cache memory M in file units: the fullest cache holds that share of every file."""
+        jmap = self.placement_map(cfg)
+        return Fraction(max(len(js) for js in jmap) * cfg.N, self.subfiles_per_file(cfg))
 
     def rate(self, cfg: NetworkConfig) -> Fraction:
         """Declared delivery rate in file units (demand-independent for shipped schemes)."""
@@ -88,7 +94,29 @@ class NonPrivateScheme(ABC):
             xor_bits((library.subfile(n, j) for n, j in group), n=cfg.subfile_bits)
             for group in plan
         )
-        return payload, self.rate(cfg)
+        return payload, Fraction(len(plan) * cfg.subfile_bits, cfg.F)
+
+    def decode(
+        self,
+        cfg: NetworkConfig,
+        k: int,
+        payload: Bits,
+        lookup: SubfileLookup,
+        demands: Sequence[int],
+    ) -> Bits:
+        """Recover W_{d_k} from the payload and cached subfiles (via `lookup`)."""
+        stored, missing = self._layout(cfg)[k - 1]
+        d_k, b = demands[k - 1], cfg.subfile_bits
+        parts = {j: lookup(d_k, j) for j in stored}
+        for pos, group in enumerate(self.payload_plan(cfg, demands)):
+            unknown = [(n, j) for n, j in group if j not in stored]
+            if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in parts:
+                cached = [lookup(n, j) for n, j in group if j in stored]
+                parts[unknown[0][1]] = xor_bits([payload.slice(pos * b, (pos + 1) * b), *cached])
+        lost = [j for j in missing if j not in parts]
+        if lost:
+            raise LookupError(f"the payload plan gives user {k} no block for subfiles {lost} of W_{d_k}")
+        return concat_bits(parts[j] for j in range(1, cfg.subfiles_per_file + 1))
 
     def place(self, cfg: NetworkConfig) -> PlacementState:
         jmap = self.placement_map(cfg)
@@ -100,12 +128,10 @@ class NonPrivateScheme(ABC):
         )
 
     def stored_subfile_indices(self, cfg: NetworkConfig, k: int) -> frozenset[int]:
-        jmap = self.placement_map(cfg)
-        return frozenset().union(*(jmap[c - 1] for c in accessible_caches(k, cfg)))
+        return self._layout(cfg)[k - 1][0]
 
     def missing_subfile_indices(self, cfg: NetworkConfig, k: int) -> tuple[int, ...]:
-        stored = self.stored_subfile_indices(cfg, k)
-        return tuple(j for j in range(1, cfg.subfiles_per_file + 1) if j not in stored)
+        return self._layout(cfg)[k - 1][1]
 
 
 def check_condition_c1(scheme: NonPrivateScheme, cfg: NetworkConfig) -> bool:
@@ -146,9 +172,6 @@ class CyclicUncodedScheme(NonPrivateScheme):
                 f"t_placement={self.t_placement} exceeds floor(K/L)={cfg.K // cfg.L}"
             )
 
-    def memory_per_cache(self, cfg: NetworkConfig) -> Fraction:
-        return Fraction(self.t_placement * cfg.N, cfg.K)
-
     def placement_map(self, cfg: NetworkConfig) -> tuple[frozenset[int], ...]:
         return tuple(
             frozenset(mod_index(k + i * cfg.L, cfg.K) for i in range(self.t_placement))
@@ -161,17 +184,6 @@ class CyclicUncodedScheme(NonPrivateScheme):
             for k in range(1, cfg.K + 1)
             for j in self.missing_subfile_indices(cfg, k)
         )
-
-    def decode(self, cfg, k, payload, lookup, demands) -> Bits:
-        missing = self.missing_subfile_indices(cfg, k)
-        b = cfg.subfile_bits
-        offset = (k - 1) * len(missing) * b  # all users miss the same count
-        parts = {}
-        for pos, j in enumerate(missing):
-            parts[j] = payload.slice(offset + pos * b, offset + (pos + 1) * b)
-        for j in self.stored_subfile_indices(cfg, k):
-            parts[j] = lookup(demands[k - 1], j)
-        return concat_bits(parts[j] for j in range(1, cfg.K + 1))
 
 
 class Example1Scheme(NonPrivateScheme):
@@ -191,30 +203,11 @@ class Example1Scheme(NonPrivateScheme):
         if cfg.K != 3 or cfg.L != 2:
             raise ValueError(f"{self.name} requires K=3, L=2, got K={cfg.K}, L={cfg.L}")
 
-    def memory_per_cache(self, cfg: NetworkConfig) -> Fraction:
-        return Fraction(cfg.N, 3)
-
     def placement_map(self, cfg: NetworkConfig) -> tuple[frozenset[int], ...]:
         return tuple(frozenset({k}) for k in range(1, 4))
 
-    @staticmethod
-    def _missing(k: int) -> int:
-        return mod_index(k + 2, 3)
-
     def payload_plan(self, cfg: NetworkConfig, demands: Sequence[int]) -> PayloadPlan:
-        return (tuple((demands[k - 1], self._missing(k)) for k in range(1, 4)),)
-
-    def decode(self, cfg, k, payload, lookup, demands) -> Bits:
-        # Strip the other users' terms: their missing indices are exactly the
-        # two subfile indices user k holds in cache.
-        block = payload
-        for k2 in range(1, 4):
-            if k2 != k:
-                block = block ^ lookup(demands[k2 - 1], self._missing(k2))
-        parts = {self._missing(k): block}
-        for j in (k, mod_index(k + 1, 3)):
-            parts[j] = lookup(demands[k - 1], j)
-        return concat_bits(parts[j] for j in range(1, 4))
+        return (tuple((demands[k - 1], mod_index(k + 2, 3)) for k in range(1, 4)),)
 
 
 SCHEME_NAMES = {

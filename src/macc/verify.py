@@ -546,6 +546,9 @@ def verify_privacy_exact(instance, budget: int = 10**8, engine: str = "auto") ->
 def q_complement_uniform(instance: LiftedInstance, k: int) -> bool:
     en = _LiftedEnum(instance)
     N, K, t = en.N, en.K, en.t
+    states = (1 << en.key_bits) * N**K
+    if states > 10**8:  # the default budget of verify_privacy_exact
+        raise BudgetExceededError(states, 10**8, "Q-complement enumeration")
     visible = sorted({(i, a) for i, a, _ in en.shares[k - 1]})
     hists: dict = {}
     for key in range(1 << en.key_bits):

@@ -96,7 +96,7 @@ def test_criterion_2_lifted_example1_memory_rate():
     report(2, checks)
 
 
-def test_criterion_3_exact_privacy_zero_mi():
+def test_criterion_3_exact_privacy_zero_mi(example1_full_report):
     def checks():
         # (a) Baseline at several valid memory points.
         for M in (Fraction(0), Fraction(1, 2), Fraction(1)):
@@ -108,7 +108,7 @@ def test_criterion_3_exact_privacy_zero_mi():
         # (b) Lifted Example-1 with N=2 and 1-bit subfiles, full enumeration.
         cfg = NetworkConfig(3, 2, 2, 3, 3)
         inst = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
-        rep = verify_privacy_exact(inst, engine="full")
+        rep = example1_full_report  # engine="full" on inst, one run shared across tests
         assert rep.states == (1 << 6) * (1 << 12) * 8
         assert rep.private
         for v in rep.users:

@@ -1,5 +1,6 @@
 import json
 
+import macc.cli
 from macc.cli import main
 
 
@@ -105,3 +106,15 @@ def test_verify_factored_budget_refusal_exit_three(capsys):
                "--N", "2", "--F", "16", "--budget", "1000"])
     assert rc == 3
     assert "factored privacy enumeration" in capsys.readouterr().err
+
+
+def test_verify_refuses_before_decodability_sweep(capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("decodability sweep ran before the budget refusal")
+
+    monkeypatch.setattr(macc.cli, "verify_decodability", sweep)
+    rc = main(["verify", "--scheme", "lifted:cyclic-uncoded", "--K", "4", "--L", "2",
+               "--N", "2", "--F", "16", "--budget", "1000"])
+    assert rc == 3
+    assert main(["verify", "--scheme", "baseline-private", "--budget", "10"]) == 3
+    assert main(["verify", "--scheme", "example1", "--N", "2", "--expect-leak", "--budget", "10"]) == 3

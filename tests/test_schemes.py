@@ -3,11 +3,16 @@ from fractions import Fraction
 import pytest
 
 from macc import (
+    LiftedInstance,
     NetworkConfig,
     all_demand_vectors,
     check_condition_c1,
+    make_lifted_runner,
+    make_nonprivate_runner,
     make_scheme,
     random_library,
+    verify_decodability,
+    verify_privacy_exact,
 )
 from macc.schemes import NonPrivateScheme
 
@@ -138,3 +143,44 @@ def test_deliver_rejects_bad_demands():
         s.deliver(cfg, lib, (1, 2))
     with pytest.raises(ValueError):
         s.deliver(cfg, lib, (1, 2, 3))
+
+
+class TwoUser(NonPrivateScheme):
+    """K=2, L=1: cache c holds subfile c; one coded block serves both users."""
+
+    def subfiles_per_file(self, cfg):
+        return 2
+
+    def placement_map(self, cfg):
+        return (frozenset({1}), frozenset({2}))
+
+    def payload_plan(self, cfg, demands):
+        d1, d2 = demands
+        return (((d1, 2), (d2, 1)),)
+
+
+class TwoUserNoBlock(TwoUser):
+    def payload_plan(self, cfg, demands):
+        return ()
+
+
+def test_two_tables_define_a_scheme():
+    cfg = NetworkConfig(2, 1, 2, 4, 2)
+    s = TwoUser()
+    lib = random_library(2, 4, 2, seed=3)
+    files = [lib.file(n) for n in (1, 2)]
+    assert verify_decodability(make_nonprivate_runner(s, cfg, lib), 2, 2, files).ok
+    assert s.rate(cfg) == Fraction(1, 2)
+    assert s.memory_per_cache(cfg) == 1
+    assert check_condition_c1(s, cfg)
+    assert verify_decodability(make_lifted_runner(s, cfg, (1,), lib), 2, 2, files, seeds=[0, 1]).ok
+    tiny = NetworkConfig(2, 1, 2, 2, 2)
+    assert verify_privacy_exact(LiftedInstance(s, tiny, (1,)), engine="full").private
+
+
+def test_plan_missing_a_block_is_a_lookup_error():
+    cfg = NetworkConfig(2, 1, 2, 4, 2)
+    lib = random_library(2, 4, 2, seed=3)
+    files = [lib.file(n) for n in (1, 2)]
+    with pytest.raises(LookupError, match="user 1"):
+        verify_decodability(make_nonprivate_runner(TwoUserNoBlock(), cfg, lib), 2, 2, files)

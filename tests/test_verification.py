@@ -95,19 +95,17 @@ def test_baseline_privacy_exact_zero():
     assert all(v.mi_bits == 0 and isinstance(v.mi_bits, Fraction) for v in rep.users)
 
 
-def test_lifted_example1_privacy_full_engine():
-    cfg = NetworkConfig(3, 2, 2, 3, 3)  # 1-bit subfiles
-    inst = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
-    rep = verify_privacy_exact(inst, engine="full")
+def test_lifted_example1_privacy_full_engine(example1_full_report):
+    rep = example1_full_report
     assert rep.private
     assert rep.engine == "full"
     assert rep.states == (1 << 6) * (1 << 12) * 8
 
 
-def test_factored_engine_agrees_with_full():
+def test_factored_engine_agrees_with_full(example1_full_report):
     cfg = NetworkConfig(3, 2, 2, 3, 3)
     inst = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
-    full = verify_privacy_exact(inst, engine="full")
+    full = example1_full_report
     fact = verify_privacy_exact(inst, engine="factored")
     assert full.private == fact.private == True
     assert [v.mi_bits for v in fact.users] == [Fraction(0)] * 3
@@ -161,6 +159,15 @@ def test_q_complement_uniform_holds():
     inst = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
     for k in (1, 2, 3):
         assert q_complement_uniform(inst, k)
+
+
+def test_q_complement_uniform_honours_budget():
+    # 2^30 key draws x 3^5 demand vectors: refused before any enumeration.
+    cfg = NetworkConfig(5, 2, 3, 5, 5)
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", 1), cfg, (1, 2))
+    with pytest.raises(BudgetExceededError) as err:
+        q_complement_uniform(inst, 1)
+    assert err.value.required == 2**30 * 3**5
 
 
 def test_corrupted_key_share_breaks_decoding():
