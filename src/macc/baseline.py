@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .gf2 import build_air, gf2_solve_window
@@ -32,20 +33,20 @@ class BaselineParams:
         if part.denominator != 1:
             raise ValueError(f"M*F/N = {part} is not an integer; adjust F")
 
-    @property
+    @cached_property
     def part_bits(self) -> int:
         """Size of each of the L pieces of the cached file part (= coded block size)."""
         return int(self.M * self.F / self.N)
 
-    @property
+    @cached_property
     def cached_bits(self) -> int:
         return self.L * self.part_bits
 
-    @property
+    @cached_property
     def broadcast_bits(self) -> int:
         return self.F - self.cached_bits
 
-    @property
+    @cached_property
     def rate(self) -> Fraction:
         return self.N - self.L * self.M
 
@@ -61,12 +62,12 @@ def baseline_place(params: BaselineParams, files: Sequence[Bits]) -> PlacementSt
     if len(files) != params.N or any(f.n != params.F for f in files):
         raise ValueError(f"expected {params.N} files of {params.F} bits")
     air = build_air(params.K, params.L)
+    split = [_split_file(params, f)[0] for f in files]
     caches = []
     for k in range(1, params.K + 1):
         row = air.rows[k - 1]
         coded = []
-        for n in range(1, params.N + 1):
-            parts, _ = _split_file(params, files[n - 1])
+        for n, parts in enumerate(split, 1):
             block = xor_bits(
                 (parts[c] for c in range(params.L) if (row >> c) & 1), n=params.part_bits
             )

@@ -193,7 +193,8 @@ def cmd_private_set(args) -> int:
     t_star, witness = smallest_private_set_oracle(cfg)
     bound = math.ceil((cfg.K - 1) / (cfg.K - cfg.L))
     if t_star > bound:
-        raise AssertionError(f"oracle t*={t_star} exceeds bound {bound}")
+        print(f"verification failed: oracle t*={t_star} exceeds bound {bound}", file=sys.stderr)
+        return 1
     _emit(
         {
             "K": cfg.K,

@@ -73,6 +73,11 @@ class NonPrivateScheme(ABC):
             layout.append((stored, missing))
         return tuple(layout)
 
+    @lru_cache(maxsize=256)
+    def _plan(self, cfg: NetworkConfig, demands: tuple[int, ...]) -> PayloadPlan:
+        """The payload plan of one demand vector, shared by its delivery and every user's decoding."""
+        return self.payload_plan(cfg, demands)
+
     def memory_per_cache(self, cfg: NetworkConfig) -> Fraction:
         """Per-cache memory M in file units: the fullest cache holds that share of every file."""
         jmap = self.placement_map(cfg)
@@ -80,8 +85,7 @@ class NonPrivateScheme(ABC):
 
     def rate(self, cfg: NetworkConfig) -> Fraction:
         """Declared delivery rate in file units (demand-independent for shipped schemes)."""
-        plan = self.payload_plan(cfg, [1] * cfg.K)
-        return Fraction(len(plan) * cfg.subfile_bits, cfg.F)
+        return Fraction(len(self._plan(cfg, (1,) * cfg.K)) * cfg.subfile_bits, cfg.F)
 
     def deliver(
         self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
@@ -89,7 +93,7 @@ class NonPrivateScheme(ABC):
         self.validate(cfg)
         if any(not 1 <= d <= cfg.N for d in demands) or len(demands) != cfg.K:
             raise ValueError(f"bad demand vector {tuple(demands)} for N={cfg.N}, K={cfg.K}")
-        plan = self.payload_plan(cfg, demands)
+        plan = self._plan(cfg, tuple(demands))
         payload = concat_bits(
             xor_bits((library.subfile(n, j) for n, j in group), n=cfg.subfile_bits)
             for group in plan
@@ -108,7 +112,7 @@ class NonPrivateScheme(ABC):
         stored, missing = self._layout(cfg)[k - 1]
         d_k, b = demands[k - 1], cfg.subfile_bits
         parts = {j: lookup(d_k, j) for j in stored}
-        for pos, group in enumerate(self.payload_plan(cfg, demands)):
+        for pos, group in enumerate(self._plan(cfg, tuple(demands))):
             unknown = [(n, j) for n, j in group if j not in stored]
             if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in parts:
                 cached = [lookup(n, j) for n, j in group if j in stored]

@@ -14,22 +14,40 @@ Both engines decide the identical condition; their agreement is itself tested.
 Each engine refuses before it enumerates when its state count exceeds the budget.
 
 Views come from the scheme code that runs, not from a model of it. A lifted
-scheme's layout (each user's cached subfiles and the key-share labels in its
-caches) is read from one ``lift_place`` call, and its payload from the base
-scheme's ``payload_plan`` over the virtual files. A non-private scheme is seen
-through its own ``place`` and ``deliver``, the baseline through
-``baseline_place`` and ``baseline_deliver``. The keyed loops work on ints
-through the same kernels as the ``Bits`` API (``KeyMaterial.unpack``,
-``coeff_xor``).
+scheme's layout (the key-share labels in each user's caches) is read from one
+``lift_place`` call, and its payload from the base scheme's ``payload_plan``
+over the virtual files. A non-private scheme is seen through its own
+``deliver``, the baseline through ``baseline_place`` and ``baseline_deliver``.
+A user's cached uncoded content is fixed within a (library, user) cell, so it
+is left out of the view; that moves no histogram and no MI.
+
+Every enumerable exposes ``lib_ctx(lib)``, the per-library tables, and
+``demand_views(ctx, d)``, which gives for each user an iterable of that user's
+views over all key draws (one view for the keyless schemes). The full engine
+counts each iterable with ``Counter``, so the per-state work runs in C. A
+lifted view is one int at fixed field widths::
+
+    (share blocks << share_shift) | (packed Q << pay_shift) | payload
+
+The share blocks are the user's key shares in view order (caches ascending,
+then by label). The packed Q holds column k at bit offset ``N*(K-k)``. The
+payload is the plan's blocks in order. The broadcast depends on keys and
+demands only through ``Q = r XOR e_d``, so per library the engine tabulates
+``(Q << pay_shift) | payload`` once for every packed Q and reads it through the
+per-key column of packed ``r``. The key columns are built once per full-engine
+run; the keyed loops use the same int kernels as the ``Bits`` API
+(``KeyMaterial.unpack``, ``coeff_xor``).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from operator import xor
+from functools import cached_property, reduce
+from itertools import chain, combinations, repeat
+from operator import eq, lshift, or_, xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_decode, baseline_deliver, baseline_place
@@ -45,7 +63,6 @@ from .lifting import (
 from .model import (
     Bits,
     NetworkConfig,
-    PlacementState,
     SubfileLibrary,
     accessible_caches,
     all_demand_vectors,
@@ -133,9 +150,9 @@ def verify_decodability(
     """Check that every user decodes its demanded file for every demand vector.
 
     ``run(seed, demands)`` must return the K decoded files. Refuses (never
-    samples) when N^K exceeds the guard.
+    samples) before the first round trip when seeds x N^K exceeds the guard.
     """
-    space = N**K
+    space = len(seeds) * N**K
     if space > guard:
         raise BudgetExceededError(space, guard, "decodability sweep")
     checked = 0
@@ -263,90 +280,120 @@ class PrivacyReport:
 
 
 # --------------------------------------------------------------------------
-# Enumerable wrappers: map integer indices to libraries/keys and emit views.
-# Views are read off the scheme's own placement and delivery. View order:
-# accessible caches ascending (uncoded content by (j, n), then coded blocks by
-# label), Q column-major, payload blocks in plan order.
+# Enumerable wrappers: ``lib_ctx`` maps a library index to per-library tables;
+# ``demand_views(ctx, d)`` gives, per user, that user's views over every key
+# draw. A view leaves out the user's cached uncoded content, which is fixed
+# within a (library, user) cell and so moves no histogram and no MI.
 
 
 class _SchemeEnum:
-    """A non-private scheme: its own placement and delivery, no keys."""
+    """A non-private scheme: its own delivery, no keys."""
 
     key_bits = 0
 
     def __init__(self, inst: NonPrivateInstance):
         inst.scheme.validate(inst.cfg)
         self.scheme = inst.scheme
-        self._layout(inst.cfg, inst.scheme.place(inst.cfg))
+        self._network(inst.cfg)
 
-    def _layout(self, cfg: NetworkConfig, placement: PlacementState) -> None:
+    def _network(self, cfg: NetworkConfig) -> None:
         self.cfg, self.N, self.K = cfg, cfg.N, cfg.K
         self.lib_bits = cfg.N * cfg.F
-        self.windows = [
-            tuple(placement[c - 1] for c in sorted(accessible_caches(k, cfg)))
-            for k in range(1, self.K + 1)
-        ]
-        self.refs = [
-            tuple(tuple(sorted(c.uncoded, key=lambda ref: (ref[1], ref[0]))) for c in window)
-            for window in self.windows
-        ]
 
-    def lib_ctx(self, lib: int):
-        library = library_from_int(self.N, self.cfg.subfiles_per_file, self.cfg.subfile_bits, lib)
-        cached = [
-            tuple(tuple(library.subfile(n, j).v for n, j in cache) for cache in refs)
-            for refs in self.refs
-        ]
-        return library, cached
+    def lib_ctx(self, lib: int) -> SubfileLibrary:
+        return library_from_int(self.N, self.cfg.subfiles_per_file, self.cfg.subfile_bits, lib)
 
-    def key_ctx(self, ctx, key: int):
-        return None
-
-    def user_views(self, ctx, kctx, demands: tuple[int, ...]):
-        library, cached = ctx
+    def demand_views(self, library: SubfileLibrary, demands: tuple[int, ...]):
         payload, _ = self.scheme.deliver(self.cfg, library, demands)
-        return [(c, payload.v) for c in cached]
+        return [(payload.v,)] * self.K
 
 
 class _LiftedEnum(_SchemeEnum):
-    """A lifted scheme: the layout of ``lift_place``, the base plan over virtual files."""
+    """A lifted scheme: the layout of ``lift_place``, the base plan over virtual files.
+
+    A view is the int ``(shares << share_shift) | (Q << pay_shift) | payload``:
+    the user's key-share blocks in view order, the packed Q (column 1 in the
+    top N bits) and the payload blocks in plan order, each field at a fixed
+    width. The payload depends on the keys and demands only through Q, so per
+    library it is one table entry per packed Q.
+    """
 
     def __init__(self, inst: LiftedInstance):
         cfg = inst.cfg
+        self._network(cfg)
         self.t = len(inst.offsets)
+        self.key_bits = self.K * self.t * self.N
         zero_library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0)
         zero_keys = KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0)
-        self._layout(cfg, lift_place(inst.base, cfg, inst.offsets, zero_library, zero_keys, enforce_private=False))
-        self.key_bits = self.K * self.t * self.N
-        # Key-share labels (owner, alpha, j) in each user's caches, in view order.
-        self.shares = [tuple(cb.label[1:] for c in window for cb in c.coded) for window in self.windows]
+        placement = lift_place(inst.base, cfg, inst.offsets, zero_library, zero_keys, enforce_private=False)
+        # Key-share labels (owner, alpha, j) in each user's caches: caches ascending, then by label.
+        self.shares = [
+            tuple(cb.label[1:] for c in sorted(accessible_caches(k, cfg)) for cb in placement[c - 1].coded)
+            for k in range(1, self.K + 1)
+        ]
         self.plan = inst.base.payload_plan(virtual_config(cfg), tuple(range(1, self.K + 1)))
+        self.pay_shift = len(self.plan) * cfg.subfile_bits
+        self.share_shift = self.pay_shift + self.K * self.N
 
-    def lib_ctx(self, lib: int):
-        library, cached = super().lib_ctx(lib)
+    def coeff_tables(self, lib: int) -> list[list[int]]:
+        """``xors[j-1][coeff]``: the XOR of the j-th subfiles the coefficient mask selects."""
+        library = super().lib_ctx(lib)
         columns = (
             [library.subfile(n, j).v for n in range(1, self.N + 1)]
             for j in range(1, self.cfg.subfiles_per_file + 1)
         )
-        # xors[j-1][coeff]: the XOR of the j-th subfiles the coefficient mask selects.
-        xors = [[coeff_xor(coeff, column) for coeff in range(1 << self.N)] for column in columns]
-        return xors, cached
+        return [[coeff_xor(coeff, column) for coeff in range(1 << self.N)] for column in columns]
 
-    def key_ctx(self, ctx, key: int):
-        xors, _ = ctx
-        p = KeyMaterial.unpack(self.K, self.t, self.N, key)
-        r = [reduce(xor, pk, 0) for pk in p]
-        shares = [tuple(xors[j - 1][p[i - 1][a - 1]] for i, a, j in labels) for labels in self.shares]
-        return r, shares
+    @cached_property
+    def _key_columns(self) -> tuple[list[list[list[int]]], list[int]]:
+        """``pcol[i-1][a-1][key]`` = p_{i,a} and ``rcol[key]`` = the packed r, over every key draw.
 
-    def user_views(self, ctx, kctx, demands: tuple[int, ...]):
-        xors, cached = ctx
-        r, shares = kctx
-        q = tuple(r[i] ^ (1 << (d - 1)) for i, d in enumerate(demands))
-        payload = tuple(
-            reduce(xor, [xors[j - 1][q[v - 1]] for v, j in group], 0) for group in self.plan
-        )
-        return [(c, sh, q, payload) for c, sh in zip(cached, shares)]
+        Built on first use, by the full engine only: the other callers run at
+        key counts no column could hold.
+        """
+        K, t, N = self.K, self.t, self.N
+        keys = 1 << self.key_bits
+        pcol = []
+        for i in range(K):
+            row = []
+            for a in range(t):
+                run = 1 << ((K * t - 1 - (i * t + a)) * N)  # the field's place in the key index
+                cycle = list(chain.from_iterable(repeat(v, run) for v in range(1 << N)))
+                row.append(cycle * (keys // len(cycle)))
+            pcol.append(row)
+        rcol = [0] * keys
+        for i, row in enumerate(pcol):
+            r = reduce(lambda x, y: list(map(xor, x, y)), row, [0] * keys)
+            rcol = list(map(or_, rcol, map(lshift, r, repeat((K - 1 - i) * N))))
+        return pcol, rcol
+
+    def lib_ctx(self, lib: int):
+        """The view base for every packed Q, and each user's shifted share column."""
+        xors = self.coeff_tables(lib)
+        b = self.cfg.subfile_bits
+        table = []
+        for q_packed in range(1 << (self.K * self.N)):
+            (q,) = KeyMaterial.unpack(1, self.K, self.N, q_packed)
+            payload = 0
+            for group in self.plan:
+                payload = (payload << b) | reduce(xor, [xors[j - 1][q[v - 1]] for v, j in group], 0)
+            table.append((q_packed << self.pay_shift) | payload)
+        pcol, _ = self._key_columns
+        share_cols = []
+        for labels in self.shares:
+            col = None
+            for i, a, j in labels:
+                block = map(xors[j - 1].__getitem__, pcol[i - 1][a - 1])
+                col = list(block) if col is None else list(map(or_, map(lshift, col, repeat(b)), block))
+            share_cols.append(None if col is None else list(map(lshift, col, repeat(self.share_shift))))
+        return table, share_cols
+
+    def demand_views(self, ctx, demands: tuple[int, ...]):
+        table, share_cols = ctx
+        _, rcol = self._key_columns
+        e_d = sum(1 << ((self.K - k) * self.N + d - 1) for k, d in enumerate(demands, 1))
+        bases = list(map(table.__getitem__, map(xor, rcol, repeat(e_d))))
+        return [map(or_, col, bases) if col else bases for col in share_cols]
 
 
 class _BaselineEnum:
@@ -370,13 +417,10 @@ class _BaselineEnum:
             caches = tuple(
                 tuple(cb.block.v for cb in placement[c].coded) for c in window
             )
-            views.append((caches, payload.v))
-        return tuple(views)
+            views.append(((caches, payload.v),))
+        return views
 
-    def key_ctx(self, ctx, key: int):
-        return None
-
-    def user_views(self, ctx, kctx, demands):
+    def demand_views(self, ctx, demands):
         return ctx  # demand-independent by construction
 
 
@@ -400,41 +444,39 @@ def _full_engine(en, budget: int) -> PrivacyReport:
     if states > budget:
         raise BudgetExceededError(states, budget, "full privacy enumeration")
     demand_list = list(all_demand_vectors(N, K))
-    rest = [
-        [d[:k] + d[k + 1 :] for d in demand_list] for k in range(K)
-    ]
+    rest = [[d[:k] + d[k + 1 :] for d in demand_list] for k in range(K)]
+    # by_dk[k0]: (d_k, indices of the demand vectors giving user k0+1 that demand).
+    by_dk = []
+    for k0 in range(K):
+        groups: dict[int, list[int]] = {}
+        for di, d in enumerate(demand_list):
+            groups.setdefault(d[k0], []).append(di)
+        by_dk.append(list(groups.items()))
+    if en.key_bits:
+        # Counters hold no zero counts, so plain dict equality is exact, and it runs in C.
+        tally, same = Counter, dict.__eq__
+    else:
+        # One key draw: a histogram is the lone view itself.
+        tally, same = tuple, eq
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     n_cells = (1 << en.lib_bits) * N
     for lib in range(1 << en.lib_bits):
         ctx = en.lib_ctx(lib)
-        hists: list[list[dict]] = [[{} for _ in demand_list] for _ in range(K)]
-        for key in range(1 << en.key_bits):
-            kctx = en.key_ctx(ctx, key)
-            uv = en.user_views
-            for di, d in enumerate(demand_list):
-                vs = uv(ctx, kctx, d)
-                for k0 in range(K):
-                    h = hists[k0][di]
-                    v = vs[k0]
-                    h[v] = h.get(v, 0) + 1
-        for k0 in range(K):
-            by_dk: dict[int, list[int]] = {}
-            for di, d in enumerate(demand_list):
-                by_dk.setdefault(d[k0], []).append(di)
-            for d_k, idxs in by_dk.items():
-                first = hists[k0][idxs[0]]
-                if all(hists[k0][i] == first for i in idxs[1:]):
+        hists: list[list] = [[] for _ in range(K)]  # hists[k0][di]
+        for d in demand_list:
+            for h, views in zip(hists, en.demand_views(ctx, d)):
+                h.append(tally(views))
+        for k0, h in enumerate(hists):
+            for d_k, idxs in by_dk[k0]:
+                first = h[idxs[0]]
+                if all(same(first, h[i]) for i in idxs[1:]):
                     continue
-                joint = {
-                    (rest[k0][i], v): c
-                    for i in idxs
-                    for v, c in hists[k0][i].items()
-                }
-                mi_cell = mutual_information_exact(joint)
-                mi_sum[k0] = mi_sum[k0] + mi_cell
+                cell = [(rest[k0][i], Counter(h[i])) for i in idxs]
+                joint = {(r, v): c for r, counts in cell for v, c in counts.items()}
+                mi_sum[k0] = mi_sum[k0] + mutual_information_exact(joint)
                 if witness[k0] is None:
-                    witness[k0] = _find_witness(hists[k0], idxs, rest[k0], lib, d_k)
+                    witness[k0] = _find_witness(cell, lib, d_k)
     report = PrivacyReport("full", states)
     for k0 in range(K):
         mi = mi_sum[k0] / n_cells if mi_sum[k0] else Fraction(0)
@@ -444,19 +486,18 @@ def _full_engine(en, budget: int) -> PrivacyReport:
     return report
 
 
-def _find_witness(hists, idxs, rests, lib, d_k):
-    for a in range(len(idxs)):
-        for b in range(a + 1, len(idxs)):
-            ha, hb = hists[idxs[a]], hists[idxs[b]]
-            if ha != hb:
-                view = next(v for v in set(ha) | set(hb) if ha.get(v, 0) != hb.get(v, 0))
-                return {
-                    "library": lib,
-                    "own_demand": d_k,
-                    "other_demands_a": list(rests[idxs[a]]),
-                    "other_demands_b": list(rests[idxs[b]]),
-                    "distinguishing_view": repr(view),
-                }
+def _find_witness(cell, lib, d_k):
+    """Two other-demand vectors in one cell whose view counts differ, and a view they split on."""
+    for (ra, ha), (rb, hb) in combinations(cell, 2):
+        if ha != hb:
+            view = next(v for v in set(ha) | set(hb) if ha[v] != hb[v])
+            return {
+                "library": lib,
+                "own_demand": d_k,
+                "other_demands_a": list(ra),
+                "other_demands_b": list(rb),
+                "distinguishing_view": repr(view),
+            }
     return None
 
 
@@ -485,7 +526,7 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     for lib in range(n_libs):
-        xors, _ = en.lib_ctx(lib)
+        xors = en.coeff_tables(lib)
         for k0 in range(1, K + 1):
             for i in range(1, K + 1):
                 if i == k0:

@@ -11,6 +11,14 @@ def test_private_set_command(capsys):
     assert out["t_star"] == 3 and out["size_bound"] == 3
 
 
+def test_private_set_bound_violation_exits_one(capsys, monkeypatch):
+    # An oracle t* above ceil((K-1)/(K-L)) is a verification failure, not a crash.
+    monkeypatch.setattr(macc.cli, "smallest_private_set_oracle", lambda cfg: (4, None))
+    assert main(["private-set", "--K", "7", "--L", "5"]) == 1
+    captured = capsys.readouterr()
+    assert "t*=4 exceeds bound 3" in captured.err and captured.out == ""
+
+
 def test_verify_baseline_exit_zero(capsys):
     rc = main(["verify", "--scheme", "baseline-private", "--K", "3", "--L", "2",
                "--N", "2", "--M", "1/2", "--F", "4", "--budget", "2000000"])

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from macc import (
     NetworkConfig,
     NonPrivateInstance,
     algorithm1_private_set,
+    all_demand_vectors,
     attack_success_rate,
     lift_decode,
     lift_deliver,
     lift_place,
+    library_from_int,
     make_lifted_runner,
     make_nonprivate_runner,
     make_scheme,
@@ -86,6 +89,16 @@ def test_verify_decodability_reports_failure_with_witness():
 def test_verify_decodability_refuses_oversized_sweep():
     with pytest.raises(BudgetExceededError):
         verify_decodability(lambda s, d: [], 30, 4, [], guard=10**6)
+
+
+def test_verify_decodability_budgets_every_seed():
+    # 2 seeds x 2^10 demand vectors exceed the guard though 2^10 alone does not.
+    def run(seed, demands):
+        raise AssertionError("round trip ran before the budget refusal")
+
+    with pytest.raises(BudgetExceededError) as err:
+        verify_decodability(run, 10, 2, [], seeds=(0, 1), guard=1500)
+    assert err.value.required == 2 * 2**10 and err.value.budget == 1500
 
 
 def test_baseline_privacy_exact_zero():
@@ -311,3 +324,57 @@ def test_baseline_params_rejects_bad_network():
         BaselineParams(3, 2, 2, 0, Fraction(0))  # F = 0
     with pytest.raises(ValueError):
         BaselineParams(1, 1, 2, 6, Fraction(0))  # K = 1 leaves no room for L < K
+
+
+def _reference_privacy(base, cfg, offsets):
+    """Per-user (private, MI) from the lifting code's own ``Bits`` output, state by state.
+
+    For every library, key draw and demand vector, user k's view is its window's
+    cache contents from ``lift_place`` plus the ``lift_deliver`` broadcast (Q
+    columns and payload). The MI is the mean over (library, d_k) cells of
+    I(other demands; view).
+    """
+    K, N, t = cfg.K, cfg.N, len(offsets)
+    n_libs = 1 << (N * cfg.F)
+    demand_list = list(all_demand_vectors(N, K))
+    mi_sum = [Fraction(0)] * K
+    for lib_index in range(n_libs):
+        library = library_from_int(N, cfg.subfiles_per_file, cfg.subfile_bits, lib_index)
+        joints = [[Counter() for _ in range(N)] for _ in range(K)]  # joints[k-1][d_k-1]
+        for key_index in range(1 << (K * t * N)):
+            keys = KeyMaterial.from_int(K, t, N, key_index)
+            placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
+            windows = [
+                tuple(
+                    (
+                        tuple(library.subfile(n, j).v for n, j in sorted(placement[c - 1].uncoded)),
+                        tuple((cb.label, cb.block.v) for cb in placement[c - 1].coded),
+                    )
+                    for c in sorted({(k + i - 1) % K + 1 for i in range(cfg.L)})
+                )
+                for k in range(1, K + 1)
+            ]
+            for d in demand_list:
+                tx = lift_deliver(base, cfg, keys, library, d)
+                for k in range(1, K + 1):
+                    rest = d[: k - 1] + d[k:]
+                    joints[k - 1][d[k - 1] - 1][rest, (windows[k - 1], tx.q_columns, tx.payload.v)] += 1
+        for k in range(K):
+            for joint in joints[k]:
+                mi_sum[k] = mi_sum[k] + mutual_information_exact(joint)
+    return [(mi == 0, mi / (n_libs * N) if mi else Fraction(0)) for mi in mi_sum]
+
+
+@pytest.mark.parametrize("L, private", [(2, False), (1, True)], ids=["L2-leak", "L1-private"])
+def test_full_engine_matches_lifting_code_reference(L, private):
+    base, cfg, offsets = make_scheme("cyclic-uncoded", 1), NetworkConfig(3, L, 2, 3, 3), (1,)
+    full = verify_privacy_exact(LiftedInstance(base, cfg, offsets), engine="full")
+    reference = _reference_privacy(base, cfg, offsets)
+    assert [u.private for u in full.users] == [p for p, _ in reference] == [private] * 3
+    for u, (_, mi) in zip(full.users, reference):
+        if private:
+            assert u.mi_bits == mi == 0
+            assert isinstance(u.mi_bits, Fraction) and isinstance(mi, Fraction)
+        else:
+            assert u.mi_bits == pytest.approx(mi, abs=1e-12)
+            assert mi == pytest.approx(0.5, abs=1e-12)
