@@ -17,7 +17,6 @@ from .gf2 import (
 )
 from .lifting import (
     KeyMaterial,
-    LiftedTransmission,
     coeff_xor_subfiles,
     lift_decode,
     lift_deliver,
@@ -34,12 +33,7 @@ from .model import (
     accessible_caches,
     all_demand_vectors,
     concat_bits,
-    config_from_json,
-    config_to_json,
-    cyclic_range,
     library_from_int,
-    library_from_json,
-    library_to_json,
     mod_index,
     random_library,
     split_library,
@@ -49,95 +43,20 @@ from .private_sets import (
     PrivateSet,
     algorithm1_private_set,
     is_private_set,
-    shift_private_set,
     smallest_private_set_oracle,
 )
-from .schemes import (
-    CyclicUncodedScheme,
-    Example1Scheme,
-    NonPrivateScheme,
-    check_condition_c1,
-    make_scheme,
-)
+from .schemes import check_condition_c1, make_scheme
 from .verify import (
     BaselineInstance,
     BudgetExceededError,
-    DecodabilityReport,
     LiftedInstance,
     NonPrivateInstance,
-    PrivacyReport,
     attack_success_rate,
     make_baseline_runner,
     make_lifted_runner,
     make_nonprivate_runner,
     mutual_information_exact,
-    q_complement_uniform,
     remark1_attack,
     verify_decodability,
     verify_privacy_exact,
 )
-
-__all__ = [
-    "BaselineParams",
-    "baseline_decode",
-    "baseline_deliver",
-    "baseline_place",
-    "memory_grid_file_size",
-    "Gf2Matrix",
-    "build_air",
-    "check_air",
-    "gf2_rank",
-    "gf2_solve_window",
-    "invert_square",
-    "KeyMaterial",
-    "LiftedTransmission",
-    "coeff_xor_subfiles",
-    "lift_decode",
-    "lift_deliver",
-    "lift_place",
-    "lifted_memory",
-    "share_cache",
-    "Bits",
-    "CacheContent",
-    "CodedBlock",
-    "NetworkConfig",
-    "SubfileLibrary",
-    "accessible_caches",
-    "all_demand_vectors",
-    "concat_bits",
-    "config_from_json",
-    "config_to_json",
-    "cyclic_range",
-    "library_from_int",
-    "library_from_json",
-    "library_to_json",
-    "mod_index",
-    "random_library",
-    "split_library",
-    "xor_bits",
-    "PrivateSet",
-    "algorithm1_private_set",
-    "is_private_set",
-    "shift_private_set",
-    "smallest_private_set_oracle",
-    "CyclicUncodedScheme",
-    "Example1Scheme",
-    "NonPrivateScheme",
-    "check_condition_c1",
-    "make_scheme",
-    "BaselineInstance",
-    "BudgetExceededError",
-    "DecodabilityReport",
-    "LiftedInstance",
-    "NonPrivateInstance",
-    "PrivacyReport",
-    "attack_success_rate",
-    "make_baseline_runner",
-    "make_lifted_runner",
-    "make_nonprivate_runner",
-    "mutual_information_exact",
-    "q_complement_uniform",
-    "remark1_attack",
-    "verify_decodability",
-    "verify_privacy_exact",
-]

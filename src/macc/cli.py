@@ -1,7 +1,7 @@
 """Command-line driver: verification runs, trade-off sweeps, private sets, attack demo.
 
 Exit codes: 0 success/verified, 1 verification failure or leak, 2 usage/config
-error, 3 enumeration budget refusal.
+error, 3 enumeration budget refusal, 4 internal error (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -11,12 +11,14 @@ import csv
 import json
 import math
 import sys
+import traceback
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Sequence, Union
 
 from .baseline import BaselineParams, baseline_deliver, memory_grid_file_size
 from .lifting import KeyMaterial, lift_deliver, lifted_memory
-from .model import Bits, NetworkConfig, SubfileLibrary, random_library, split_library
+from .model import NetworkConfig, SubfileLibrary, random_library
 from .private_sets import algorithm1_private_set, smallest_private_set_oracle
 from .schemes import make_scheme
 from .verify import (
@@ -37,6 +39,16 @@ DEFAULT_SEED = 20240819
 
 class UsageError(Exception):
     pass
+
+
+@contextmanager
+def _from_flags():
+    """Report an error raised while flags become a network, scheme, private set
+    or ``BaselineParams`` (or while ``--config`` is read) as a usage error."""
+    try:
+        yield
+    except (OSError, ValueError) as e:
+        raise UsageError(str(e)) from e
 
 
 def parse_fraction(s: str) -> Fraction:
@@ -66,10 +78,16 @@ def private_set_offsets(mode: str, cfg: NetworkConfig) -> tuple[tuple[int, ...],
     raise UsageError(f"unknown private-set mode {mode!r}")
 
 
-def _nonprivate_cfg(args, scheme_name: str) -> NetworkConfig:
-    s = 3 if scheme_name == "example1" else args.K
-    F = args.F if args.F else s
-    return NetworkConfig(args.K, args.L, args.N, F, s)
+def _nonprivate_cfg(args) -> NetworkConfig:
+    return NetworkConfig(args.K, args.L, args.N, args.F or args.K, args.K)
+
+
+def _base_scheme(args, name: str):
+    """The base scheme ``name`` and the network the flags give, checked against each other."""
+    base = make_scheme(name, t_placement=args.t_placement)
+    cfg = _nonprivate_cfg(args)
+    base.validate(cfg)
+    return base, cfg
 
 
 def _emit(report: dict, output: Union[str, None]) -> None:
@@ -88,7 +106,8 @@ def cmd_verify(args) -> int:
     if args.scheme == "baseline-private":
         M = parse_fraction(args.M)
         F = args.F if args.F else memory_grid_file_size(args.N, args.L, [M])
-        params = BaselineParams(args.K, args.L, args.N, F, M)
+        with _from_flags():
+            params = BaselineParams(args.K, args.L, args.N, F, M)
         files = [random_library(1, F, 1, args.seed + n).file(1) for n in range(args.N)]
         run = make_baseline_runner(params, files)
         priv = verify_privacy_exact(BaselineInstance(params), budget=args.budget)
@@ -97,9 +116,9 @@ def cmd_verify(args) -> int:
         report["privacy"] = priv.to_dict()
         ok = dec.ok and priv.private
     elif args.scheme.startswith("lifted:"):
-        base = make_scheme(args.scheme.split(":", 1)[1], t_placement=args.t_placement)
-        cfg = _nonprivate_cfg(args, base.name)
-        offsets, valid = private_set_offsets(args.private_set, cfg)
+        with _from_flags():
+            base, cfg = _base_scheme(args, args.scheme.split(":", 1)[1])
+            offsets, valid = private_set_offsets(args.private_set, cfg)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, args.seed)
         run = make_lifted_runner(base, cfg, offsets, library, enforce_private=valid)
         priv = verify_privacy_exact(LiftedInstance(base, cfg, offsets), budget=args.budget)
@@ -109,8 +128,8 @@ def cmd_verify(args) -> int:
         report["privacy"] = priv.to_dict()
         ok = dec.ok and priv.private
     else:
-        base = make_scheme(args.scheme, t_placement=args.t_placement)
-        cfg = _nonprivate_cfg(args, base.name)
+        with _from_flags():
+            base, cfg = _base_scheme(args, args.scheme)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, args.seed)
         run = make_nonprivate_runner(base, cfg, library)
         if args.expect_leak:
@@ -148,18 +167,23 @@ def cmd_tradeoff(args) -> int:
     elif scheme.startswith("lifted:"):
         base_name = scheme.split(":", 1)[1]
         if base_name == "example1":
-            cfg = _nonprivate_cfg(args, "example1")
-            offsets, _ = private_set_offsets(args.private_set, cfg)
-            rows.extend(_lifted_rows(make_scheme("example1"), cfg, offsets, args.seed, scheme))
+            # The family's memory is fixed, so it gives one point and ignores the grid.
+            with _from_flags():
+                base, cfg = _base_scheme(args, base_name)
+                offsets, _ = private_set_offsets(args.private_set, cfg)
+            rows.extend(_lifted_rows(base, cfg, offsets, args.seed, scheme))
         else:
-            cfg0 = _nonprivate_cfg(args, base_name)
+            with _from_flags():
+                cfg0 = _nonprivate_cfg(args)
             for M in sorted(grid or [Fraction(cfg0.N, cfg0.K)]):
                 tp = M * cfg0.K / cfg0.N
                 if tp.denominator != 1 or not 0 <= tp <= cfg0.K // cfg0.L:
                     print(f"skipping M={M}: needs M*K/N integral in [0, K//L]", file=sys.stderr)
                     continue
-                b = make_scheme(base_name, t_placement=int(tp))
-                offsets, _ = private_set_offsets(args.private_set, cfg0)
+                with _from_flags():
+                    b = make_scheme(base_name, t_placement=int(tp))
+                    b.validate(cfg0)
+                    offsets, _ = private_set_offsets(args.private_set, cfg0)
                 rows.extend(_lifted_rows(b, cfg0, offsets, args.seed, scheme))
     else:
         raise UsageError(f"tradeoff supports baseline-private and lifted:* schemes, not {scheme!r}")
@@ -188,9 +212,10 @@ def _lifted_rows(base, cfg, offsets, seed, scheme_name):
 
 
 def cmd_private_set(args) -> int:
-    cfg = NetworkConfig(args.K, args.L, max(args.N, 1), args.K, args.K)
-    alg = algorithm1_private_set(cfg)
-    t_star, witness = smallest_private_set_oracle(cfg)
+    with _from_flags():
+        cfg = NetworkConfig(args.K, args.L, max(args.N, 1), args.K, args.K)
+        alg = algorithm1_private_set(cfg)
+        t_star, witness = smallest_private_set_oracle(cfg)
     bound = math.ceil((cfg.K - 1) / (cfg.K - cfg.L))
     if t_star > bound:
         print(f"verification failed: oracle t*={t_star} exceeds bound {bound}", file=sys.stderr)
@@ -211,9 +236,10 @@ def cmd_private_set(args) -> int:
 
 def cmd_attack(args) -> int:
     subfile_bits = 8
-    cfg = NetworkConfig(args.K, args.L, args.N, subfile_bits * args.K, args.K)
-    base = make_scheme("cyclic-uncoded", t_placement=1)
-    offsets, _ = private_set_offsets(args.private_set, cfg)
+    with _from_flags():
+        cfg = NetworkConfig(args.K, args.L, args.N, subfile_bits * args.K, args.K)
+        base = make_scheme("cyclic-uncoded", t_placement=1)
+        offsets, _ = private_set_offsets(args.private_set, cfg)
     library = _distinct_column_library(cfg, args.seed)
     seeds = [args.seed + i for i in range(args.seeds)]
     rate = attack_success_rate(base, cfg, offsets, library, seeds)
@@ -301,7 +327,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.config:
-            with open(args.config) as fh:
+            with _from_flags(), open(args.config) as fh:
                 defaults = json.load(fh)
             if not isinstance(defaults, dict):
                 raise UsageError("--config must hold a JSON object of flag defaults")
@@ -316,12 +342,12 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except BudgetExceededError as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 def entry() -> None:

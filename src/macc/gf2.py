@@ -40,12 +40,6 @@ class Gf2Matrix:
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(n, tuple(1 << i for i in range(n)))
 
-    def pretty(self) -> str:
-        return "\n".join(
-            " ".join(str(self.entry(r, c)) for c in range(self.cols))
-            for r in range(self.n_rows)
-        )
-
 
 def rank_of_rows(rows: Sequence[int]) -> int:
     """Rank over GF(2) by elimination on int bitmasks, basis indexed by leading bit."""
@@ -141,6 +135,12 @@ def invert_square(rows: Sequence[int], n: int) -> list[int]:
     return inv
 
 
+@lru_cache(maxsize=1024)
+def _window_inverse(m: Gf2Matrix, window_start: int) -> tuple[int, ...]:
+    """Inverse of the window starting at ``window_start``, computed once per (matrix, window)."""
+    return tuple(invert_square(_window_rows(m, window_start), m.cols))
+
+
 def gf2_solve_window(m: Gf2Matrix, window_start: int, rhs: Sequence[Bits]) -> list[Bits]:
     """Solve B x = rhs for the L x L window B of rows starting at `window_start` (1-based).
 
@@ -150,7 +150,7 @@ def gf2_solve_window(m: Gf2Matrix, window_start: int, rhs: Sequence[Bits]) -> li
     L = m.cols
     if len(rhs) != L:
         raise ValueError(f"expected {L} coded blocks, got {len(rhs)}")
-    inv = invert_square(_window_rows(m, window_start), L)
+    inv = _window_inverse(m, window_start)
     n = rhs[0].n
     return [
         xor_bits((rhs[i] for i in range(L) if (inv_row >> i) & 1), n=n)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -42,17 +41,9 @@ class Bits:
     def to01(self) -> str:
         return format(self.v, f"0{self.n}b") if self.n else ""
 
-    def to_hex(self) -> str:
-        digits = (self.n + 3) // 4
-        return format(self.v, f"0{digits}x") if self.n else ""
-
     @classmethod
     def from01(cls, s: str) -> "Bits":
         return cls(len(s), int(s, 2) if s else 0)
-
-    @classmethod
-    def from_hex(cls, s: str, n: int) -> "Bits":
-        return cls(n, int(s, 16) if s else 0)
 
     @classmethod
     def zeros(cls, n: int) -> "Bits":
@@ -111,15 +102,6 @@ def mod_index(i: int, K: int) -> int:
         raise ValueError(f"need K >= 1, got {K}")
     r = i % K
     return r if r else K
-
-
-def cyclic_range(a: int, b: int, K: int) -> list[int]:
-    """Closed wrap-around interval [a..b] on a K-cycle."""
-    if not (1 <= a <= K and 1 <= b <= K):
-        raise ValueError(f"endpoints out of range: a={a}, b={b}, K={K}")
-    if a <= b:
-        return list(range(a, b + 1))
-    return list(range(a, K + 1)) + list(range(1, b + 1))
 
 
 def accessible_caches(k: int, cfg: NetworkConfig) -> list[int]:
@@ -237,36 +219,3 @@ class CacheContent:
 
 
 PlacementState = tuple[CacheContent, ...]
-
-
-# --- JSON layout ------------------------------------------------------------
-# Config: {"K":, "L":, "N":, "F":, "subfiles_per_file":}
-# Library: {"subfiles_per_file":, "file_bits":, "files": [hex, ...]} with each
-# file serialized MSB-first and left-padded to ceil(F/4) hex digits.
-
-
-def config_to_json(cfg: NetworkConfig) -> str:
-    return json.dumps(
-        {"K": cfg.K, "L": cfg.L, "N": cfg.N, "F": cfg.F, "subfiles_per_file": cfg.subfiles_per_file}
-    )
-
-
-def config_from_json(s: str) -> NetworkConfig:
-    d = json.loads(s)
-    return NetworkConfig(d["K"], d["L"], d["N"], d["F"], d["subfiles_per_file"])
-
-
-def library_to_json(lib: SubfileLibrary) -> str:
-    return json.dumps(
-        {
-            "subfiles_per_file": lib.subfiles_per_file,
-            "file_bits": lib.file_bits,
-            "files": [lib.file(n).to_hex() for n in range(1, lib.n_files + 1)],
-        }
-    )
-
-
-def library_from_json(s: str) -> SubfileLibrary:
-    d = json.loads(s)
-    raw = [Bits.from_hex(h, d["file_bits"]) for h in d["files"]]
-    return split_library(raw, d["subfiles_per_file"])

@@ -1,4 +1,4 @@
-"""Private sets: validity checking, greedy construction, cyclic shifting, brute-force minimum."""
+"""Private sets: validity checking, greedy construction, brute-force minimum."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .model import NetworkConfig, accessible_caches, mod_index
+from .model import NetworkConfig, accessible_caches
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,6 @@ def algorithm1_private_set(cfg: NetworkConfig) -> PrivateSet:
         i += K - L
     caches.add(L)
     return PrivateSet(1, tuple(sorted(caches)))
-
-
-def shift_private_set(base: PrivateSet, k: int, cfg: NetworkConfig) -> PrivateSet:
-    """Private set for user k, obtained from user 1's by circular symmetry."""
-    if base.user != 1:
-        raise ValueError("base private set must belong to user 1")
-    return PrivateSet(k, tuple(sorted(mod_index(c + k - 1, cfg.K) for c in base.caches)))
 
 
 def smallest_private_set_oracle(cfg: NetworkConfig) -> tuple[int, PrivateSet]:

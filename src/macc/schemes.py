@@ -3,13 +3,14 @@
 A scheme is two tables. ``placement_map`` gives the subfile indices each cache
 stores of every file. ``payload_plan`` gives, per demand vector, the ordered XOR
 groups of (file, subfile) references; the payload is the groups' blocks in
-order. ``NonPrivateScheme`` derives memory, rate, delivery, each user's layout
-(once per configuration) and decoding from the two. Decoding peels the plan: a
-block whose only term user k has not cached is a subfile of W_{d_k}, left once
-its cached terms are XORed off. A plan leaving a subfile unrecovered is a
-``LookupError``. Both shipped schemes satisfy condition C1 (pairwise-disjoint
-subfile sets across any user's accessible caches) and work for any file count
-N, so the lifting transform runs them unmodified over virtual libraries.
+order. Every file splits into K subfiles. ``NonPrivateScheme`` derives
+memory, rate, delivery, each user's layout (once per configuration) and
+decoding from the two. Decoding peels the plan: a block whose only term user k
+has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
+off. A plan leaving a subfile unrecovered is a ``LookupError``. Both shipped
+schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
+accessible caches) and work for any file count N, so the lifting transform runs
+them unmodified over virtual libraries.
 """
 
 from __future__ import annotations
@@ -46,14 +47,10 @@ class NonPrivateScheme(ABC):
     name: str
 
     def validate(self, cfg: NetworkConfig) -> None:
-        if cfg.subfiles_per_file != self.subfiles_per_file(cfg):
+        if cfg.subfiles_per_file != cfg.K:
             raise ValueError(
-                f"{self.name} needs subfiles_per_file={self.subfiles_per_file(cfg)}, "
-                f"got {cfg.subfiles_per_file}"
+                f"{self.name} needs subfiles_per_file=K={cfg.K}, got {cfg.subfiles_per_file}"
             )
-
-    @abstractmethod
-    def subfiles_per_file(self, cfg: NetworkConfig) -> int: ...
 
     @abstractmethod
     def placement_map(self, cfg: NetworkConfig) -> tuple[frozenset[int], ...]:
@@ -81,7 +78,7 @@ class NonPrivateScheme(ABC):
     def memory_per_cache(self, cfg: NetworkConfig) -> Fraction:
         """Per-cache memory M in file units: the fullest cache holds that share of every file."""
         jmap = self.placement_map(cfg)
-        return Fraction(max(len(js) for js in jmap) * cfg.N, self.subfiles_per_file(cfg))
+        return Fraction(max(len(js) for js in jmap) * cfg.N, cfg.subfiles_per_file)
 
     def rate(self, cfg: NetworkConfig) -> Fraction:
         """Declared delivery rate in file units (demand-independent for shipped schemes)."""
@@ -166,9 +163,6 @@ class CyclicUncodedScheme(NonPrivateScheme):
             raise ValueError("t_placement must be non-negative")
         self.t_placement = t_placement
 
-    def subfiles_per_file(self, cfg: NetworkConfig) -> int:
-        return cfg.K
-
     def validate(self, cfg: NetworkConfig) -> None:
         super().validate(cfg)
         if self.t_placement > cfg.K // cfg.L:
@@ -191,27 +185,25 @@ class CyclicUncodedScheme(NonPrivateScheme):
 
 
 class Example1Scheme(NonPrivateScheme):
-    """K=3, L=2 scheme with one subfile per cache and a single coded broadcast.
+    """The single-broadcast family for any K with L = K - 1 (the paper's Example 1 at K=3).
 
-    Cache j stores W_{n,j} for all n; the delivery is the lone XOR block
-    W_{d_1,3} + W_{d_2,1} + W_{d_3,2}, giving rate 1/3.
+    Cache k stores W_{n,k} for all n, so user k misses only subfile k - 1; the
+    delivery is the lone XOR block of every user's missing subfile, giving
+    M = N/K and rate 1/K.
     """
 
     name = "example1"
 
-    def subfiles_per_file(self, cfg: NetworkConfig) -> int:
-        return 3
-
     def validate(self, cfg: NetworkConfig) -> None:
         super().validate(cfg)
-        if cfg.K != 3 or cfg.L != 2:
-            raise ValueError(f"{self.name} requires K=3, L=2, got K={cfg.K}, L={cfg.L}")
+        if cfg.L != cfg.K - 1:
+            raise ValueError(f"{self.name} requires L = K - 1, got K={cfg.K}, L={cfg.L}")
 
     def placement_map(self, cfg: NetworkConfig) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset({k}) for k in range(1, 4))
+        return tuple(frozenset({k}) for k in range(1, cfg.K + 1))
 
     def payload_plan(self, cfg: NetworkConfig, demands: Sequence[int]) -> PayloadPlan:
-        return (tuple((demands[k - 1], mod_index(k + 2, 3)) for k in range(1, 4)),)
+        return (tuple((demands[k - 1], mod_index(k - 1, cfg.K)) for k in range(1, cfg.K + 1)),)
 
 
 SCHEME_NAMES = {

@@ -17,9 +17,10 @@ Views come from the scheme code that runs, not from a model of it. A lifted
 scheme's layout (the key-share labels in each user's caches) is read from one
 ``lift_place`` call, and its payload from the base scheme's ``payload_plan``
 over the virtual files. A non-private scheme is seen through its own
-``deliver``, the baseline through ``baseline_place`` and ``baseline_deliver``.
-A user's cached uncoded content is fixed within a (library, user) cell, so it
-is left out of the view; that moves no histogram and no MI.
+``deliver``, the baseline through ``baseline_deliver``. A user's cached
+content that no key touches (uncoded subfiles, the baseline's coded blocks) is
+fixed within a (library, user) cell, so it is left out of the view; that moves
+no histogram and no MI.
 
 Every enumerable exposes ``lib_ctx(lib)``, the per-library tables, and
 ``demand_views(ctx, d)``, which gives for each user an iterable of that user's
@@ -104,10 +105,9 @@ def mutual_information_exact(
     for (a, b), c in counts.items():
         ra[a] = ra.get(a, 0) + c
         cb[b] = cb.get(b, 0) + c
-    factorizes = all(
-        counts.get((a, b), 0) * total == ra[a] * cb[b] for a in ra for b in cb
-    )
-    if factorizes:
+    # Testing the nonzero entries is enough: summing one row's equalities forces
+    # that row's support to cover every column of positive mass.
+    if all(c * total == ra[a] * cb[b] for (a, b), c in counts.items() if c):
         return Fraction(0)
     return sum(
         (c / total) * math.log2(c * total / (ra[a] * cb[b]))
@@ -282,8 +282,8 @@ class PrivacyReport:
 # --------------------------------------------------------------------------
 # Enumerable wrappers: ``lib_ctx`` maps a library index to per-library tables;
 # ``demand_views(ctx, d)`` gives, per user, that user's views over every key
-# draw. A view leaves out the user's cached uncoded content, which is fixed
-# within a (library, user) cell and so moves no histogram and no MI.
+# draw. A view leaves out the user's cached content that no key touches, which
+# is fixed within a (library, user) cell and so moves no histogram and no MI.
 
 
 class _SchemeEnum:
@@ -397,6 +397,8 @@ class _LiftedEnum(_SchemeEnum):
 
 
 class _BaselineEnum:
+    """The baseline: the broadcast alone, the same for every user and demand."""
+
     key_bits = 0
 
     def __init__(self, inst: BaselineInstance):
@@ -406,19 +408,10 @@ class _BaselineEnum:
         self.lib_bits = p.N * p.F
 
     def lib_ctx(self, lib: int):
-        total = self.N * self.params.F
-        whole = Bits(total, lib)
-        files = [whole.slice(n * self.params.F, (n + 1) * self.params.F) for n in range(self.N)]
-        placement = baseline_place(self.params, files)
-        payload, _ = baseline_deliver(self.params, files)
-        views = []
-        for k in range(1, self.K + 1):
-            window = sorted((k - 1 + i) % self.K for i in range(self.params.L))
-            caches = tuple(
-                tuple(cb.block.v for cb in placement[c].coded) for c in window
-            )
-            views.append(((caches, payload.v),))
-        return views
+        F = self.params.F
+        whole = Bits(self.N * F, lib)
+        payload, _ = baseline_deliver(self.params, [whole.slice(n * F, (n + 1) * F) for n in range(self.N)])
+        return [(payload.v,)] * self.K
 
     def demand_views(self, ctx, demands):
         return ctx  # demand-independent by construction
@@ -576,36 +569,6 @@ def verify_privacy_exact(instance, budget: int = 10**8, engine: str = "auto") ->
     if isinstance(en, _LiftedEnum):
         return _factored_engine(en, budget)
     raise BudgetExceededError(states, budget, "full privacy enumeration")
-
-
-# --------------------------------------------------------------------------
-# Proof-chain cross-check: conditioned on the key vectors whose shares the
-# placement puts in user k's caches, Q with column k removed is uniform over
-# the N(K-1)-bit space.
-
-
-def q_complement_uniform(instance: LiftedInstance, k: int) -> bool:
-    en = _LiftedEnum(instance)
-    N, K, t = en.N, en.K, en.t
-    states = (1 << en.key_bits) * N**K
-    if states > 10**8:  # the default budget of verify_privacy_exact
-        raise BudgetExceededError(states, 10**8, "Q-complement enumeration")
-    visible = sorted({(i, a) for i, a, _ in en.shares[k - 1]})
-    hists: dict = {}
-    for key in range(1 << en.key_bits):
-        p = KeyMaterial.unpack(K, t, N, key)
-        pk_val = tuple(p[i - 1][a - 1] for i, a in visible)
-        r = [reduce(xor, pi, 0) for pi in p]
-        for d in all_demand_vectors(N, K):
-            qrest = tuple(
-                r[i - 1] ^ (1 << (d[i - 1] - 1)) for i in range(1, K + 1) if i != k
-            )
-            h = hists.setdefault(pk_val, {})
-            h[qrest] = h.get(qrest, 0) + 1
-    space = 1 << (N * (K - 1))
-    return all(
-        len(h) == space and len(set(h.values())) == 1 for h in hists.values()
-    )
 
 
 # --------------------------------------------------------------------------

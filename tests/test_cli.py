@@ -126,3 +126,23 @@ def test_verify_refuses_before_decodability_sweep(capsys, monkeypatch):
     assert rc == 3
     assert main(["verify", "--scheme", "baseline-private", "--budget", "10"]) == 3
     assert main(["verify", "--scheme", "example1", "--N", "2", "--expect-leak", "--budget", "10"]) == 3
+
+
+def test_scheme_network_mismatch_exits_two_before_round_trip(capsys, monkeypatch):
+    def sweep(*args, **kwargs):
+        raise AssertionError("decodability sweep ran on an invalid configuration")
+
+    monkeypatch.setattr(macc.cli, "verify_decodability", sweep)
+    for scheme in ("example1", "lifted:example1"):
+        assert main(["verify", "--scheme", scheme, "--K", "4", "--L", "2"]) == 2
+        assert "L = K - 1" in capsys.readouterr().err
+
+
+def test_internal_value_error_exits_four(capsys, monkeypatch):
+    def engine(*args, **kwargs):
+        raise ValueError("planted internal fault")
+
+    monkeypatch.setattr(macc.cli, "verify_privacy_exact", engine)
+    assert main(["verify", "--scheme", "lifted:example1", "--N", "2", "--F", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "planted internal fault" in err

@@ -1,5 +1,3 @@
-import json
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,12 +8,7 @@ from macc import (
     accessible_caches,
     all_demand_vectors,
     concat_bits,
-    config_from_json,
-    config_to_json,
-    cyclic_range,
     library_from_int,
-    library_from_json,
-    library_to_json,
     mod_index,
     random_library,
     split_library,
@@ -32,11 +25,6 @@ def test_bits_basic():
     assert b.slice(1, 3).to01() == "01"
     assert b.concat(Bits.from01("00")).to01() == "101100"
     assert Bits.zeros(3).to01() == "000"
-
-
-def test_bits_hex_round_trip():
-    b = Bits.from01("000101101")
-    assert Bits.from_hex(b.to_hex(), 9) == b
 
 
 def test_bits_rejects_mismatched_xor():
@@ -69,12 +57,6 @@ def test_mod_index_wraps_to_K_not_zero():
     assert mod_index(4, 3) == 1
     assert mod_index(6, 3) == 3
     assert [mod_index(i, 5) for i in range(1, 11)] == [1, 2, 3, 4, 5, 1, 2, 3, 4, 5]
-
-
-def test_cyclic_range():
-    assert cyclic_range(2, 4, 5) == [2, 3, 4]
-    assert cyclic_range(4, 1, 5) == [4, 5, 1]
-    assert cyclic_range(3, 3, 5) == [3]
 
 
 def test_accessible_caches_windows():
@@ -123,11 +105,3 @@ def test_all_demand_vectors():
     assert len(vecs) == 8
     assert vecs[0] == (1, 1, 1) and vecs[-1] == (2, 2, 2)
     assert len(set(vecs)) == 8
-
-
-def test_json_round_trips():
-    cfg = NetworkConfig(4, 2, 3, 8, 4)
-    assert config_from_json(config_to_json(cfg)) == cfg
-    lib = random_library(3, 8, 4, 11)
-    assert library_from_json(library_to_json(lib)) == lib
-    json.loads(library_to_json(lib))  # stays valid JSON

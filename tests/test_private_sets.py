@@ -7,7 +7,7 @@ from macc import (
     PrivateSet,
     algorithm1_private_set,
     is_private_set,
-    shift_private_set,
+    share_cache,
     smallest_private_set_oracle,
 )
 
@@ -69,19 +69,14 @@ def test_oracle_spot_value():
 
 def test_shift_symmetry():
     cfg = cfg_for(7, 5)
-    base = algorithm1_private_set(cfg)
+    offsets = algorithm1_private_set(cfg).caches
+
+    def shifted(k):
+        return {share_cache(offsets, k, a, cfg.K) for a in range(1, len(offsets) + 1)}
+
     for k in range(1, 8):
-        shifted = shift_private_set(base, k, cfg)
-        assert shifted.user == k
-        assert is_private_set(shifted.caches, k, cfg)
-    assert shift_private_set(base, 1, cfg).caches == base.caches
-
-
-def test_shift_requires_user_one_base():
-    cfg = cfg_for(5, 3)
-    moved = shift_private_set(algorithm1_private_set(cfg), 2, cfg)
-    with pytest.raises(ValueError):
-        shift_private_set(moved, 3, cfg)
+        assert is_private_set(shifted(k), k, cfg)
+    assert shifted(1) == set(offsets)
 
 
 def test_degenerate_single_cache_access():

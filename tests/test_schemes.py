@@ -11,6 +11,7 @@ from macc import (
     make_nonprivate_runner,
     make_scheme,
     random_library,
+    smallest_private_set_oracle,
     verify_decodability,
     verify_privacy_exact,
 )
@@ -74,6 +75,30 @@ def test_example1_rejects_wrong_shape():
         s.validate(NetworkConfig(3, 2, 2, 6, 2))
 
 
+@pytest.mark.parametrize("K", range(2, 7))
+def test_example1_family_decodes_with_one_broadcast(K):
+    # L = K - 1: cache k stores subfile k, user k misses subfile k - 1 alone.
+    s = make_scheme("example1")
+    for N in (2, 3):
+        cfg = NetworkConfig(K, K - 1, N, K, K)
+        assert s.memory_per_cache(cfg) == Fraction(N, K)
+        assert s.rate(cfg) == Fraction(1, K)
+        assert check_condition_c1(s, cfg)
+        lib = random_library(N, K, K, seed=10 * K + N)
+        files = [lib.file(n) for n in range(1, N + 1)]
+        assert verify_decodability(make_nonprivate_runner(s, cfg, lib), K, N, files).ok
+        offsets = smallest_private_set_oracle(cfg)[1].caches
+        assert verify_decodability(make_lifted_runner(s, cfg, offsets, lib), K, N, files, seeds=[K]).ok
+
+
+def test_lifted_example1_family_private_at_four_users():
+    cfg = NetworkConfig(4, 3, 2, 4, 4)
+    offsets = smallest_private_set_oracle(cfg)[1].caches
+    rep = verify_privacy_exact(LiftedInstance(make_scheme("example1"), cfg, offsets), engine="factored")
+    assert rep.private
+    assert [v.mi_bits for v in rep.users] == [Fraction(0)] * 4
+
+
 def test_cyclic_uncoded_memory_rate_c1():
     for K, L, t in [(3, 2, 1), (4, 2, 2), (5, 2, 2), (6, 3, 2), (6, 2, 3), (4, 3, 1)]:
         cfg = NetworkConfig(K, L, 2, K, K)
@@ -116,9 +141,6 @@ def test_c1_detects_violation():
     class Clash(NonPrivateScheme):
         name = "clash"
 
-        def subfiles_per_file(self, cfg):
-            return cfg.K
-
         def memory_per_cache(self, cfg):
             return Fraction(cfg.N, cfg.K)
 
@@ -148,9 +170,6 @@ def test_deliver_rejects_bad_demands():
 class TwoUser(NonPrivateScheme):
     """K=2, L=1: cache c holds subfile c; one coded block serves both users."""
 
-    def subfiles_per_file(self, cfg):
-        return 2
-
     def placement_map(self, cfg):
         return (frozenset({1}), frozenset({2}))
 
@@ -176,6 +195,14 @@ def test_two_tables_define_a_scheme():
     assert verify_decodability(make_lifted_runner(s, cfg, (1,), lib), 2, 2, files, seeds=[0, 1]).ok
     tiny = NetworkConfig(2, 1, 2, 2, 2)
     assert verify_privacy_exact(LiftedInstance(s, tiny, (1,)), engine="full").private
+
+
+def test_example1_at_two_users_is_the_two_table_scheme():
+    cfg = NetworkConfig(2, 1, 2, 2, 2)
+    s, ref = make_scheme("example1"), TwoUser()
+    assert s.placement_map(cfg) == ref.placement_map(cfg)
+    for demands in all_demand_vectors(2, 2):
+        assert s.payload_plan(cfg, demands) == ref.payload_plan(cfg, demands)
 
 
 def test_plan_missing_a_block_is_a_lookup_error():

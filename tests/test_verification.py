@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from macc import (
     LiftedInstance,
     NetworkConfig,
     NonPrivateInstance,
+    accessible_caches,
     algorithm1_private_set,
     all_demand_vectors,
     attack_success_rate,
@@ -23,12 +25,12 @@ from macc import (
     make_nonprivate_runner,
     make_scheme,
     mutual_information_exact,
-    q_complement_uniform,
     random_library,
     remark1_attack,
     verify_decodability,
     verify_privacy_exact,
 )
+from macc.verify import _LiftedEnum
 
 
 def mi_direct(counts):
@@ -165,22 +167,6 @@ def test_file_relabeling_leaves_verdict_unchanged():
     inst = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
     rep = verify_privacy_exact(inst, engine="factored")
     assert len({v.private for v in rep.users}) == 1
-
-
-def test_q_complement_uniform_holds():
-    cfg = NetworkConfig(3, 2, 2, 3, 3)
-    inst = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
-    for k in (1, 2, 3):
-        assert q_complement_uniform(inst, k)
-
-
-def test_q_complement_uniform_honours_budget():
-    # 2^30 key draws x 3^5 demand vectors: refused before any enumeration.
-    cfg = NetworkConfig(5, 2, 3, 5, 5)
-    inst = LiftedInstance(make_scheme("cyclic-uncoded", 1), cfg, (1, 2))
-    with pytest.raises(BudgetExceededError) as err:
-        q_complement_uniform(inst, 1)
-    assert err.value.required == 2**30 * 3**5
 
 
 def test_corrupted_key_share_breaks_decoding():
@@ -378,3 +364,38 @@ def test_full_engine_matches_lifting_code_reference(L, private):
         else:
             assert u.mi_bits == pytest.approx(mi, abs=1e-12)
             assert mi == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "base, cfg, offsets",
+    [
+        (make_scheme("example1"), NetworkConfig(3, 2, 2, 3, 3), (1, 2)),
+        (make_scheme("cyclic-uncoded", 1), NetworkConfig(3, 2, 2, 3, 3), (1,)),
+    ],
+    ids=["example1-N2", "cyclic-uncoded-K3-L2-tp1"],
+)
+def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
+    """Every field of the full engine's view int, payload and Q included, is read off
+    ``lift_place``/``lift_deliver``: verdicts alone cannot see a field the others determine."""
+    en = _LiftedEnum(LiftedInstance(base, cfg, offsets))
+    K, N, b = cfg.K, cfg.N, cfg.subfile_bits
+    rng = random.Random(6)
+    for _ in range(8):
+        lib_index = rng.randrange(1 << en.lib_bits)
+        key_index = rng.randrange(1 << en.key_bits)
+        demands = tuple(rng.randint(1, N) for _ in range(K))
+        library = library_from_int(N, cfg.subfiles_per_file, b, lib_index)
+        keys = KeyMaterial.from_int(K, len(offsets), N, key_index)
+        placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
+        tx = lift_deliver(base, cfg, keys, library, demands)
+        q = 0
+        for column in tx.q_columns:
+            q = (q << N) | column
+        views = en.demand_views(en.lib_ctx(lib_index), demands)
+        for k, user_views in enumerate(views, 1):
+            shares = 0
+            for c in sorted(accessible_caches(k, cfg)):
+                for cb in placement[c - 1].coded:
+                    shares = (shares << b) | cb.block.v
+            want = (shares << en.share_shift) | (q << en.pay_shift) | tx.payload.v
+            assert list(user_views)[key_index] == want
