@@ -11,13 +11,13 @@ from .gf2 import (
     Gf2Matrix,
     build_air,
     check_air,
+    coeff_xor,
     gf2_rank,
     gf2_solve_window,
     invert_square,
 )
 from .lifting import (
     KeyMaterial,
-    coeff_xor_subfiles,
     lift_decode,
     lift_deliver,
     lift_place,
@@ -32,12 +32,12 @@ from .model import (
     SubfileLibrary,
     accessible_caches,
     all_demand_vectors,
-    concat_bits,
     library_from_int,
     mod_index,
+    pack,
     random_library,
+    split,
     split_library,
-    xor_bits,
 )
 from .private_sets import (
     PrivateSet,

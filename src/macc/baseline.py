@@ -12,8 +12,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
 
-from .gf2 import build_air, gf2_solve_window
-from .model import Bits, CacheContent, CodedBlock, NetworkConfig, PlacementState, concat_bits, xor_bits
+from .gf2 import build_air, coeff_xor, gf2_solve_window
+from .model import Bits, CacheContent, CodedBlock, NetworkConfig, PlacementState, pack, split
 
 
 @dataclass(frozen=True)
@@ -51,35 +51,31 @@ class BaselineParams:
         return self.N - self.L * self.M
 
 
-def _split_file(params: BaselineParams, f: Bits) -> tuple[list[Bits], Bits]:
-    b = params.part_bits
-    parts = [f.slice(i * b, (i + 1) * b) for i in range(params.L)]
-    return parts, f.slice(params.cached_bits, params.F)
-
-
 def baseline_place(params: BaselineParams, files: Sequence[Bits]) -> PlacementState:
     """Cache k holds, for every file n, the AIR-coded block over the file's L cached pieces."""
     if len(files) != params.N or any(f.n != params.F for f in files):
         raise ValueError(f"expected {params.N} files of {params.F} bits")
     air = build_air(params.K, params.L)
-    split = [_split_file(params, f)[0] for f in files]
-    caches = []
-    for k in range(1, params.K + 1):
-        row = air.rows[k - 1]
-        coded = []
-        for n, parts in enumerate(split, 1):
-            block = xor_bits(
-                (parts[c] for c in range(params.L) if (row >> c) & 1), n=params.part_bits
-            )
-            coded.append(CodedBlock(("C", n, k), block))
-        caches.append(CacheContent(frozenset(), tuple(coded)))
-    return tuple(caches)
+    # A file is its L cached pieces, then the broadcast remainder in the low bits.
+    pieces = [split(split(f.v, 2, params.broadcast_bits)[0], params.L, params.part_bits) for f in files]
+    return tuple(
+        CacheContent(frozenset(), tuple(
+            CodedBlock(("C", n, k), Bits(params.part_bits, coeff_xor(air.rows[k - 1], parts)))
+            for n, parts in enumerate(pieces, 1)
+        ))
+        for k in range(1, params.K + 1)
+    )
+
+
+def baseline_broadcast(params: BaselineParams, files: Sequence[int]) -> int:
+    """The uncached remainder (the low ``broadcast_bits``) of every file int, packed in file order."""
+    return pack((split(f, 2, params.broadcast_bits)[1] for f in files), params.broadcast_bits)
 
 
 def baseline_deliver(params: BaselineParams, files: Sequence[Bits]) -> tuple[Bits, Fraction]:
     """Broadcast the uncached remainder of every file, in file order; demand-independent."""
-    payload = concat_bits(_split_file(params, f)[1] for f in files)
-    return payload, params.rate
+    payload = baseline_broadcast(params, [f.v for f in files])
+    return Bits(len(files) * params.broadcast_bits, payload), params.rate
 
 
 def baseline_decode(
@@ -88,16 +84,15 @@ def baseline_decode(
     """Reconstruct all N files from user k's L coded cache blocks plus the broadcast."""
     air = build_air(params.K, params.L)
     window = [(k - 1 + i) % params.K for i in range(params.L)]
-    w2_bits = params.broadcast_bits
+    remainders = split(payload.v, params.N, params.broadcast_bits)
     out = []
-    for n in range(1, params.N + 1):
+    for n, rest in enumerate(remainders, 1):
         rhs = []
         for c in window:
             (block,) = [cb.block for cb in placement[c].coded if cb.label == ("C", n, c + 1)]
             rhs.append(block)
-        parts = gf2_solve_window(air, k, rhs)
-        w2 = payload.slice((n - 1) * w2_bits, n * w2_bits)
-        out.append(concat_bits(parts).concat(w2))
+        head = pack((part.v for part in gf2_solve_window(air, k, rhs)), params.part_bits)
+        out.append(Bits(params.F, pack((head, rest), params.broadcast_bits)))
     return out
 
 

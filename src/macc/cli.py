@@ -166,25 +166,25 @@ def cmd_tradeoff(args) -> int:
             rows.append((M, rate, 0, scheme, ""))
     elif scheme.startswith("lifted:"):
         base_name = scheme.split(":", 1)[1]
-        if base_name == "example1":
-            # The family's memory is fixed, so it gives one point and ignores the grid.
-            with _from_flags():
-                base, cfg = _base_scheme(args, base_name)
-                offsets, _ = private_set_offsets(args.private_set, cfg)
+        with _from_flags():
+            cfg = _nonprivate_cfg(args)
+            make_scheme(base_name).validate(cfg)
+            offsets, _ = private_set_offsets(args.private_set, cfg)
+        # Each grid point asks for base memory M, so t_placement = M*K/N; a point
+        # the base scheme cannot store exactly is skipped, and said so.
+        for M in sorted(grid or [Fraction(cfg.N, cfg.K)]):
+            tp = M * cfg.K / cfg.N
+            try:
+                if tp.denominator != 1:
+                    raise ValueError("needs M*K/N integral")
+                base = make_scheme(base_name, t_placement=int(tp))
+                base.validate(cfg)
+                if base.memory_per_cache(cfg) != M:
+                    raise ValueError(f"{base_name} stores M={base.memory_per_cache(cfg)} here")
+            except ValueError as e:
+                print(f"skipping M={M}: {e}", file=sys.stderr)
+                continue
             rows.extend(_lifted_rows(base, cfg, offsets, args.seed, scheme))
-        else:
-            with _from_flags():
-                cfg0 = _nonprivate_cfg(args)
-            for M in sorted(grid or [Fraction(cfg0.N, cfg0.K)]):
-                tp = M * cfg0.K / cfg0.N
-                if tp.denominator != 1 or not 0 <= tp <= cfg0.K // cfg0.L:
-                    print(f"skipping M={M}: needs M*K/N integral in [0, K//L]", file=sys.stderr)
-                    continue
-                with _from_flags():
-                    b = make_scheme(base_name, t_placement=int(tp))
-                    b.validate(cfg0)
-                    offsets, _ = private_set_offsets(args.private_set, cfg0)
-                rows.extend(_lifted_rows(b, cfg0, offsets, args.seed, scheme))
     else:
         raise UsageError(f"tradeoff supports baseline-private and lifted:* schemes, not {scheme!r}")
 
@@ -271,10 +271,7 @@ def _distinct_column_library(cfg: NetworkConfig, seed: int) -> SubfileLibrary:
         raise UsageError("N too large for distinct subfile columns at this subfile size")
     for attempt in range(1000):
         lib = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, seed + 7919 * attempt)
-        if all(
-            len({lib.subfile(n, j).v for n in range(1, cfg.N + 1)}) == cfg.N
-            for j in range(1, cfg.subfiles_per_file + 1)
-        ):
+        if all(len(set(lib.column(j))) == cfg.N for j in range(1, cfg.subfiles_per_file + 1)):
             return lib
     raise UsageError("could not draw a library with distinct subfile columns")
 

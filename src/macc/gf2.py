@@ -6,10 +6,11 @@ Rows are stored as int bitmasks; bit c (1 << c) is column c, 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Sequence
 
-from .model import Bits, xor_bits
+from .model import Bits
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,11 @@ class Gf2Matrix:
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(n, tuple(1 << i for i in range(n)))
+
+
+def coeff_xor(coeff: int, column: Sequence[int]) -> int:
+    """Row ``coeff`` times a column of int blocks: the XOR of each ``column[c]`` whose bit c is set."""
+    return reduce(xor, (v for c, v in enumerate(column) if (coeff >> c) & 1), 0)
 
 
 def rank_of_rows(rows: Sequence[int]) -> int:
@@ -147,12 +153,9 @@ def gf2_solve_window(m: Gf2Matrix, window_start: int, rhs: Sequence[Bits]) -> li
     rhs[i] is the coded block held by the window's i-th cache; the result is the
     L uncoded blocks whose encoding by the window rows reproduces rhs.
     """
-    L = m.cols
-    if len(rhs) != L:
-        raise ValueError(f"expected {L} coded blocks, got {len(rhs)}")
-    inv = _window_inverse(m, window_start)
-    n = rhs[0].n
-    return [
-        xor_bits((rhs[i] for i in range(L) if (inv_row >> i) & 1), n=n)
-        for inv_row in inv
-    ]
+    if len(rhs) != m.cols:
+        raise ValueError(f"expected {m.cols} coded blocks, got {len(rhs)}")
+    if len({block.n for block in rhs}) != 1:
+        raise ValueError("coded blocks differ in length")
+    blocks = [block.v for block in rhs]
+    return [Bits(rhs[0].n, coeff_xor(row, blocks)) for row in _window_inverse(m, window_start)]

@@ -18,6 +18,7 @@ from functools import reduce
 from operator import xor
 from typing import Sequence
 
+from .gf2 import coeff_xor
 from .model import (
     Bits,
     CacheContent,
@@ -26,9 +27,9 @@ from .model import (
     PlacementState,
     SubfileLibrary,
     accessible_caches,
-    concat_bits,
     mod_index,
-    xor_bits,
+    pack,
+    split,
 )
 from .private_sets import is_private_set
 from .schemes import NonPrivateScheme, check_condition_c1
@@ -61,29 +62,12 @@ class KeyMaterial:
         """Unpack an enumeration index, user-major then slot-major, MSB-first."""
         if not 0 <= x < (1 << (K * t * N)):
             raise ValueError("key index out of range")
-        return cls(K, t, N, None, cls.unpack(K, t, N, x))
-
-    @staticmethod
-    def unpack(K: int, t: int, N: int, x: int) -> tuple[tuple[int, ...], ...]:
-        """The vectors p of index ``x``, unchecked: the int kernel under ``from_int``."""
-        mask = (1 << N) - 1
-        flat = [(x >> ((K * t - 1 - i) * N)) & mask for i in range(K * t)]
-        return tuple(tuple(flat[k * t : (k + 1) * t]) for k in range(K))
+        flat = split(x, K * t, N)
+        return cls(K, t, N, None, tuple(tuple(flat[k * t : (k + 1) * t]) for k in range(K)))
 
     def r(self, k: int) -> int:
         """Combined mask r_k, the XOR of user k's t vectors."""
         return reduce(xor, self.p[k - 1], 0)
-
-
-def coeff_xor(coeff: int, column: Sequence[int]) -> int:
-    """XOR of the entries of ``column`` (one per file, file 1 first) the coefficient mask selects."""
-    return reduce(xor, (v for n, v in enumerate(column) if (coeff >> n) & 1), 0)
-
-
-def coeff_xor_subfiles(coeff: int, library: SubfileLibrary, j: int) -> Bits:
-    """XOR of the j-th subfiles of the files selected by the coefficient mask."""
-    column = [library.subfile(n, j).v for n in range(1, library.n_files + 1)]
-    return Bits(library.subfile_bits, coeff_xor(coeff, column))
 
 
 def lifted_memory(M: Fraction, t: int, L: int, N: int) -> Fraction:
@@ -128,8 +112,9 @@ def lift_place(
     extra: list[list[CodedBlock]] = [[] for _ in range(cfg.K)]
     for k in range(1, cfg.K + 1):
         for j in base.missing_subfile_indices(cfg, k):
+            column = library.column(j)
             for alpha in range(1, t + 1):
-                block = coeff_xor_subfiles(keys.p[k - 1][alpha - 1], library, j)
+                block = Bits(cfg.subfile_bits, coeff_xor(keys.p[k - 1][alpha - 1], column))
                 target = share_cache(offsets, k, alpha, cfg.K)
                 extra[target - 1].append(CodedBlock(("S", k, alpha, j), block))
     return tuple(
@@ -162,15 +147,12 @@ def lift_deliver(
     if len(demands) != cfg.K or any(not 1 <= d <= cfg.N for d in demands):
         raise ValueError(f"bad demand vector {tuple(demands)} for N={cfg.N}, K={cfg.K}")
     q = tuple(keys.r(k) ^ (1 << (demands[k - 1] - 1)) for k in range(1, cfg.K + 1))
-    vcfg = virtual_config(cfg)
-    vlib = SubfileLibrary(
-        tuple(
-            tuple(coeff_xor_subfiles(q[k], library, j) for j in range(1, cfg.subfiles_per_file + 1))
-            for k in range(cfg.K)
-        )
-    )
-    payload, rate = base.deliver(vcfg, vlib, tuple(range(1, cfg.K + 1)))
-    return LiftedTransmission(q, cfg.N, payload, rate)
+    vcfg, users = virtual_config(cfg), tuple(range(1, cfg.K + 1))
+    base.validate(vcfg)
+    columns = [library.column(j) for j in range(1, cfg.subfiles_per_file + 1)]
+    payload = base.payload(vcfg, users, lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
+    bits = len(base._plan(vcfg, users)) * cfg.subfile_bits
+    return LiftedTransmission(q, cfg.N, Bits(bits, payload), Fraction(bits, cfg.F))
 
 
 def lift_decode(
@@ -190,36 +172,22 @@ def lift_decode(
     window = accessible_caches(k, cfg)
     reachable = frozenset().union(*(placement[c - 1].uncoded for c in window))
 
-    def cached(n: int, j: int) -> Bits:
+    def cached(n: int, j: int) -> int:
         if (n, j) not in reachable:
             raise LookupError(f"subfile W_{{{n},{j}}} not in user {k}'s caches")
-        return library.subfile(n, j)
+        return library.subfile(n, j).v
 
     # Virtual subfiles are computable from cached real subfiles because the
     # round-1 placement is file symmetric.
-    def virtual(v: int, j: int) -> Bits:
-        return xor_bits(
-            (cached(n, j) for n in range(1, cfg.N + 1) if (tx.q_columns[v - 1] >> (n - 1)) & 1),
-            n=cfg.subfile_bits,
-        )
+    def virtual(v: int, j: int) -> int:
+        return coeff_xor(tx.q_columns[v - 1], [cached(n, j) for n in range(1, cfg.N + 1)])
 
-    vcfg = virtual_config(cfg)
-    vfile = base.decode(vcfg, k, tx.payload, virtual, tuple(range(1, cfg.K + 1)))
-
-    shares: dict[tuple[int, int], Bits] = {}
+    users = tuple(range(1, cfg.K + 1))
+    parts = base.decode_missing(virtual_config(cfg), k, tx.payload.v, virtual, users)
     for c in window:
         for cb in placement[c - 1].coded:
-            tag, owner, alpha, j = cb.label
+            tag, owner, _, j = cb.label
             if tag == "S" and owner == k:
-                shares[(alpha, j)] = cb.block
-
-    b = cfg.subfile_bits
-    parts = []
-    stored = base.stored_subfile_indices(cfg, k)
-    for j in range(1, cfg.subfiles_per_file + 1):
-        if j in stored:
-            parts.append(cached(d_k, j))
-        else:
-            key_shares = [blk for (alpha, jj), blk in shares.items() if jj == j]
-            parts.append(xor_bits([vfile.slice((j - 1) * b, j * b)] + key_shares))
-    return concat_bits(parts)
+                parts[j] ^= cb.block.v  # strip user k's key share off the virtual subfile
+    subfiles = (parts[j] if j in parts else cached(d_k, j) for j in range(1, cfg.subfiles_per_file + 1))
+    return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))

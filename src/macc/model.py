@@ -1,4 +1,11 @@
-"""Cyclic multi-access network model: topology, index arithmetic, bit blocks, libraries."""
+"""Cyclic multi-access network model: topology, index arithmetic, bit blocks, libraries.
+
+One bit layout serves the whole package: fixed-width fields sit MSB-first in one
+int, the first field in the top bits. Subfiles in a file, blocks in a payload,
+key vectors in a key index and Q columns all follow it, through ``pack``,
+``split`` and ``field``. The scheme code computes on those ints and builds a
+``Bits`` only where a value leaves a public function.
+"""
 
 from __future__ import annotations
 
@@ -29,15 +36,6 @@ class Bits:
             raise IndexError(i)
         return (self.v >> (self.n - 1 - i)) & 1
 
-    def slice(self, start: int, stop: int) -> "Bits":
-        if not 0 <= start <= stop <= self.n:
-            raise IndexError((start, stop))
-        m = stop - start
-        return Bits(m, (self.v >> (self.n - stop)) & ((1 << m) - 1))
-
-    def concat(self, other: "Bits") -> "Bits":
-        return Bits(self.n + other.n, (self.v << other.n) | other.v)
-
     def to01(self) -> str:
         return format(self.v, f"0{self.n}b") if self.n else ""
 
@@ -50,23 +48,29 @@ class Bits:
         return cls(n, 0)
 
 
-def concat_bits(blocks: Iterable[Bits]) -> Bits:
-    out = Bits.zeros(0)
-    for b in blocks:
-        out = out.concat(b)
-    return out
+def pack(fields: Iterable[int], width: int) -> int:
+    """Join ``width``-bit fields MSB-first: the first field lands in the top bits."""
+    x = 0
+    for f in fields:
+        x = (x << width) | f
+    return x
 
 
-def xor_bits(blocks: Iterable[Bits], n: Union[int, None] = None) -> Bits:
-    """XOR-fold equal-length blocks; ``n`` supplies the length for an empty fold."""
-    out: Union[Bits, None] = None
-    for b in blocks:
-        out = b if out is None else out ^ b
-    if out is None:
-        if n is None:
-            raise ValueError("empty XOR with unknown length")
-        return Bits.zeros(n)
-    return out
+def split(x: int, count: int, width: int) -> list[int]:
+    """Cut ``x`` into ``count`` fields of ``width`` bits, MSB-first: the inverse of ``pack``.
+
+    The first field keeps every bit above the others, so ``pack(split(x, c, w), w) == x``
+    for any ``x >= 0``, ``split(x, 2, w)`` cuts the low ``w`` bits off a wider ``x``, and an
+    oversized ``x`` shows as an oversized first field rather than vanishing.
+    """
+    mask = (1 << width) - 1
+    rest = [(x >> (width * i)) & mask for i in range(count - 2, -1, -1)]
+    return [x >> (width * (count - 1)), *rest] if count else []
+
+
+def field(x: int, i: int, count: int, width: int) -> int:
+    """Field ``i`` (0-based) of ``split(x, count, width)``, cut alone: one shift, not ``count``."""
+    return (x >> (width * (count - 1 - i))) & ((1 << width) - 1)
 
 
 @dataclass(frozen=True)
@@ -147,8 +151,12 @@ class SubfileLibrary:
         """Subfile W_{n,j}; both indices 1-based."""
         return self.files[n - 1][j - 1]
 
+    def column(self, j: int) -> list[int]:
+        """The j-th subfile of every file as an int, file 1 first."""
+        return [f[j - 1].v for f in self.files]
+
     def file(self, n: int) -> Bits:
-        return concat_bits(self.files[n - 1])
+        return Bits(self.file_bits, pack((sf.v for sf in self.files[n - 1]), self.subfile_bits))
 
 
 RawFile = Union[str, Bits]
@@ -166,7 +174,7 @@ def split_library(raw_files: Sequence[RawFile], subfiles_per_file: int) -> Subfi
                 f"file size {bits.n} not divisible by {subfiles_per_file} subfiles"
             )
         b = bits.n // subfiles_per_file
-        files.append(tuple(bits.slice(i * b, (i + 1) * b) for i in range(subfiles_per_file)))
+        files.append(tuple(Bits(b, v) for v in split(bits.v, subfiles_per_file, b)))
     return SubfileLibrary(tuple(files))
 
 
@@ -180,17 +188,11 @@ def random_library(N: int, F: int, subfiles_per_file: int, seed: int) -> Subfile
 
 def library_from_int(N: int, subfiles_per_file: int, subfile_bits: int, x: int) -> SubfileLibrary:
     """Decode an enumeration index into a library: file 1 occupies the most significant bits."""
-    total = N * subfiles_per_file * subfile_bits
-    whole = Bits(total, x)
-    b = subfile_bits
-    files = tuple(
-        tuple(
-            whole.slice(((n * subfiles_per_file) + j) * b, ((n * subfiles_per_file) + j + 1) * b)
-            for j in range(subfiles_per_file)
-        )
-        for n in range(N)
-    )
-    return SubfileLibrary(files)
+    file_bits = subfiles_per_file * subfile_bits
+    return SubfileLibrary(tuple(
+        tuple(Bits(subfile_bits, v) for v in split(f, subfiles_per_file, subfile_bits))
+        for f in split(x, N, file_bits)
+    ))
 
 
 def all_demand_vectors(N: int, K: int) -> Iterator[tuple[int, ...]]:

@@ -5,7 +5,9 @@ stores of every file. ``payload_plan`` gives, per demand vector, the ordered XOR
 groups of (file, subfile) references; the payload is the groups' blocks in
 order. Every file splits into K subfiles. ``NonPrivateScheme`` derives
 memory, rate, delivery, each user's layout (once per configuration) and
-decoding from the two. Decoding peels the plan: a block whose only term user k
+decoding from the two. ``payload`` builds the packed payload int over any int
+subfile accessor; delivery, the lifted delivery and the privacy engines all
+call it. Decoding peels the plan: a block whose only term user k
 has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
 off. A plan leaving a subfile unrecovered is a ``LookupError``. Both shipped
 schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
@@ -17,7 +19,8 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 from typing import Callable, Sequence
 
 from .model import (
@@ -27,14 +30,15 @@ from .model import (
     PlacementState,
     SubfileLibrary,
     accessible_caches,
-    concat_bits,
+    field,
     mod_index,
-    xor_bits,
+    pack,
 )
 
 PayloadPlan = tuple[tuple[tuple[int, int], ...], ...]
 
 SubfileLookup = Callable[[int, int], Bits]
+IntSubfile = Callable[[int, int], int]
 
 
 class NonPrivateScheme(ABC):
@@ -84,18 +88,39 @@ class NonPrivateScheme(ABC):
         """Declared delivery rate in file units (demand-independent for shipped schemes)."""
         return Fraction(len(self._plan(cfg, (1,) * cfg.K)) * cfg.subfile_bits, cfg.F)
 
+    def payload(self, cfg: NetworkConfig, demands: tuple[int, ...], subfile: IntSubfile) -> int:
+        """The plan's XOR blocks packed in plan order, over the int subfiles ``subfile(n, j)``."""
+        groups = self._plan(cfg, demands)
+        return pack((reduce(xor, [subfile(n, j) for n, j in group], 0) for group in groups), cfg.subfile_bits)
+
     def deliver(
         self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
     ) -> tuple[Bits, Fraction]:
         self.validate(cfg)
+        demands = tuple(demands)
         if any(not 1 <= d <= cfg.N for d in demands) or len(demands) != cfg.K:
-            raise ValueError(f"bad demand vector {tuple(demands)} for N={cfg.N}, K={cfg.K}")
-        plan = self._plan(cfg, tuple(demands))
-        payload = concat_bits(
-            xor_bits((library.subfile(n, j) for n, j in group), n=cfg.subfile_bits)
-            for group in plan
-        )
-        return payload, Fraction(len(plan) * cfg.subfile_bits, cfg.F)
+            raise ValueError(f"bad demand vector {demands} for N={cfg.N}, K={cfg.K}")
+        bits = len(self._plan(cfg, demands)) * cfg.subfile_bits
+        payload = self.payload(cfg, demands, lambda n, j: library.subfile(n, j).v)
+        return Bits(bits, payload), Fraction(bits, cfg.F)
+
+    def decode_missing(
+        self, cfg: NetworkConfig, k: int, payload: int, subfile: IntSubfile, demands: tuple[int, ...]
+    ) -> dict[int, int]:
+        """User k's missing subfiles of W_{d_k}, peeled off the payload int with its cached
+        ``subfile(n, j)`` ints; only the blocks it peels are cut out of the payload."""
+        stored, missing = self._layout(cfg)[k - 1]
+        d_k, plan = demands[k - 1], self._plan(cfg, demands)
+        parts: dict[int, int] = {}
+        for pos, group in enumerate(plan):
+            unknown = [(n, j) for n, j in group if j not in stored]
+            if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in parts:
+                block = field(payload, pos, len(plan), cfg.subfile_bits)
+                parts[unknown[0][1]] = reduce(xor, [subfile(n, j) for n, j in group if j in stored], block)
+        lost = [j for j in missing if j not in parts]
+        if lost:
+            raise LookupError(f"the payload plan gives user {k} no block for subfiles {lost} of W_{d_k}")
+        return parts
 
     def decode(
         self,
@@ -106,18 +131,10 @@ class NonPrivateScheme(ABC):
         demands: Sequence[int],
     ) -> Bits:
         """Recover W_{d_k} from the payload and cached subfiles (via `lookup`)."""
-        stored, missing = self._layout(cfg)[k - 1]
-        d_k, b = demands[k - 1], cfg.subfile_bits
-        parts = {j: lookup(d_k, j) for j in stored}
-        for pos, group in enumerate(self._plan(cfg, tuple(demands))):
-            unknown = [(n, j) for n, j in group if j not in stored]
-            if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in parts:
-                cached = [lookup(n, j) for n, j in group if j in stored]
-                parts[unknown[0][1]] = xor_bits([payload.slice(pos * b, (pos + 1) * b), *cached])
-        lost = [j for j in missing if j not in parts]
-        if lost:
-            raise LookupError(f"the payload plan gives user {k} no block for subfiles {lost} of W_{d_k}")
-        return concat_bits(parts[j] for j in range(1, cfg.subfiles_per_file + 1))
+        d_k, demands = demands[k - 1], tuple(demands)
+        parts = self.decode_missing(cfg, k, payload.v, lambda n, j: lookup(n, j).v, demands)
+        subfiles = (parts[j] if j in parts else lookup(d_k, j).v for j in range(1, cfg.subfiles_per_file + 1))
+        return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))
 
     def place(self, cfg: NetworkConfig) -> PlacementState:
         jmap = self.placement_map(cfg)

@@ -15,9 +15,10 @@ Each engine refuses before it enumerates when its state count exceeds the budget
 
 Views come from the scheme code that runs, not from a model of it. A lifted
 scheme's layout (the key-share labels in each user's caches) is read from one
-``lift_place`` call, and its payload from the base scheme's ``payload_plan``
-over the virtual files. A non-private scheme is seen through its own
-``deliver``, the baseline through ``baseline_deliver``. A user's cached
+``lift_place`` call, and its payload from the base scheme's ``payload``, the
+kernel ``deliver`` and ``lift_deliver`` run, over the virtual subfiles. A
+non-private scheme is seen through that same ``payload``, the baseline through
+``baseline_broadcast``, the kernel of ``baseline_deliver``. A user's cached
 content that no key touches (uncoded subfiles, the baseline's coded blocks) is
 fixed within a (library, user) cell, so it is left out of the view; that moves
 no histogram and no MI.
@@ -36,8 +37,8 @@ payload is the plan's blocks in order. The broadcast depends on keys and
 demands only through ``Q = r XOR e_d``, so per library the engine tabulates
 ``(Q << pay_shift) | payload`` once for every packed Q and reads it through the
 per-key column of packed ``r``. The key columns are built once per full-engine
-run; the keyed loops use the same int kernels as the ``Bits`` API
-(``KeyMaterial.unpack``, ``coeff_xor``).
+run, from ``KeyMaterial.from_int``; every field is cut and joined by the
+layout kernels of ``model`` (``pack``, ``split``).
 """
 
 from __future__ import annotations
@@ -47,20 +48,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain, combinations, repeat
-from operator import eq, lshift, or_, xor
+from itertools import combinations, repeat
+from operator import eq, or_, xor
 from typing import Callable, Mapping, Sequence, Union
 
-from .baseline import BaselineParams, baseline_decode, baseline_deliver, baseline_place
-from .lifting import (
-    KeyMaterial,
-    coeff_xor,
-    coeff_xor_subfiles,
-    lift_decode,
-    lift_deliver,
-    lift_place,
-    virtual_config,
-)
+from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
+from .gf2 import coeff_xor
+from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place, virtual_config
 from .model import (
     Bits,
     NetworkConfig,
@@ -68,6 +62,8 @@ from .model import (
     accessible_caches,
     all_demand_vectors,
     library_from_int,
+    pack,
+    split,
 )
 from .schemes import NonPrivateScheme
 
@@ -287,7 +283,7 @@ class PrivacyReport:
 
 
 class _SchemeEnum:
-    """A non-private scheme: its own delivery, no keys."""
+    """A non-private scheme: its own payload kernel, no keys."""
 
     key_bits = 0
 
@@ -300,16 +296,18 @@ class _SchemeEnum:
         self.cfg, self.N, self.K = cfg, cfg.N, cfg.K
         self.lib_bits = cfg.N * cfg.F
 
-    def lib_ctx(self, lib: int) -> SubfileLibrary:
-        return library_from_int(self.N, self.cfg.subfiles_per_file, self.cfg.subfile_bits, lib)
+    def lib_ctx(self, lib: int) -> list[list[int]]:
+        """``files[n-1][j-1]``: subfile W_{n,j} of library ``lib`` as an int."""
+        cfg = self.cfg
+        return [split(f, cfg.subfiles_per_file, cfg.subfile_bits) for f in split(lib, cfg.N, cfg.F)]
 
-    def demand_views(self, library: SubfileLibrary, demands: tuple[int, ...]):
-        payload, _ = self.scheme.deliver(self.cfg, library, demands)
-        return [(payload.v,)] * self.K
+    def demand_views(self, files: list[list[int]], demands: tuple[int, ...]):
+        payload = self.scheme.payload(self.cfg, demands, lambda n, j: files[n - 1][j - 1])
+        return [(payload,)] * self.K
 
 
 class _LiftedEnum(_SchemeEnum):
-    """A lifted scheme: the layout of ``lift_place``, the base plan over virtual files.
+    """A lifted scheme: the layout of ``lift_place``, the base payload over virtual files.
 
     A view is the int ``(shares << share_shift) | (Q << pay_shift) | payload``:
     the user's key-share blocks in view order, the packed Q (column 1 in the
@@ -321,6 +319,7 @@ class _LiftedEnum(_SchemeEnum):
     def __init__(self, inst: LiftedInstance):
         cfg = inst.cfg
         self._network(cfg)
+        self.scheme = inst.base
         self.t = len(inst.offsets)
         self.key_bits = self.K * self.t * self.N
         zero_library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0)
@@ -331,17 +330,12 @@ class _LiftedEnum(_SchemeEnum):
             tuple(cb.label[1:] for c in sorted(accessible_caches(k, cfg)) for cb in placement[c - 1].coded)
             for k in range(1, self.K + 1)
         ]
-        self.plan = inst.base.payload_plan(virtual_config(cfg), tuple(range(1, self.K + 1)))
-        self.pay_shift = len(self.plan) * cfg.subfile_bits
+        self.pay_shift = lift_deliver(inst.base, cfg, zero_keys, zero_library, (1,) * self.K).payload.n
         self.share_shift = self.pay_shift + self.K * self.N
 
     def coeff_tables(self, lib: int) -> list[list[int]]:
         """``xors[j-1][coeff]``: the XOR of the j-th subfiles the coefficient mask selects."""
-        library = super().lib_ctx(lib)
-        columns = (
-            [library.subfile(n, j).v for n in range(1, self.N + 1)]
-            for j in range(1, self.cfg.subfiles_per_file + 1)
-        )
+        columns = zip(*super().lib_ctx(lib))
         return [[coeff_xor(coeff, column) for coeff in range(1 << self.N)] for column in columns]
 
     @cached_property
@@ -352,46 +346,42 @@ class _LiftedEnum(_SchemeEnum):
         key counts no column could hold.
         """
         K, t, N = self.K, self.t, self.N
-        keys = 1 << self.key_bits
-        pcol = []
-        for i in range(K):
-            row = []
-            for a in range(t):
-                run = 1 << ((K * t - 1 - (i * t + a)) * N)  # the field's place in the key index
-                cycle = list(chain.from_iterable(repeat(v, run) for v in range(1 << N)))
-                row.append(cycle * (keys // len(cycle)))
-            pcol.append(row)
-        rcol = [0] * keys
-        for i, row in enumerate(pcol):
-            r = reduce(lambda x, y: list(map(xor, x, y)), row, [0] * keys)
-            rcol = list(map(or_, rcol, map(lshift, r, repeat((K - 1 - i) * N))))
+        pcol: list[list[list[int]]] = [[[] for _ in range(t)] for _ in range(K)]
+        rcol = []
+        for x in range(1 << self.key_bits):
+            keys = KeyMaterial.from_int(K, t, N, x)
+            for columns, vectors in zip(pcol, keys.p):
+                for column, v in zip(columns, vectors):
+                    column.append(v)
+            rcol.append(pack(map(keys.r, range(1, K + 1)), N))
         return pcol, rcol
 
     def lib_ctx(self, lib: int):
         """The view base for every packed Q, and each user's shifted share column."""
         xors = self.coeff_tables(lib)
-        b = self.cfg.subfile_bits
+        vcfg, users = virtual_config(self.cfg), tuple(range(1, self.K + 1))
         table = []
         for q_packed in range(1 << (self.K * self.N)):
-            (q,) = KeyMaterial.unpack(1, self.K, self.N, q_packed)
-            payload = 0
-            for group in self.plan:
-                payload = (payload << b) | reduce(xor, [xors[j - 1][q[v - 1]] for v, j in group], 0)
+            q = split(q_packed, self.K, self.N)
+            payload = self.scheme.payload(vcfg, users, lambda v, j: xors[j - 1][q[v - 1]])
             table.append((q_packed << self.pay_shift) | payload)
         pcol, _ = self._key_columns
         share_cols = []
         for labels in self.shares:
             col = None
-            for i, a, j in labels:
-                block = map(xors[j - 1].__getitem__, pcol[i - 1][a - 1])
-                col = list(block) if col is None else list(map(or_, map(lshift, col, repeat(b)), block))
-            share_cols.append(None if col is None else list(map(lshift, col, repeat(self.share_shift))))
+            for pos, (i, a, j) in enumerate(labels):
+                # Every value of the block, packed into its slot of the share field.
+                fill = [0] * (len(labels) - 1 - pos)
+                slot = [pack([v, *fill], self.cfg.subfile_bits) << self.share_shift for v in xors[j - 1]]
+                block = map(slot.__getitem__, pcol[i - 1][a - 1])
+                col = list(block) if col is None else list(map(or_, col, block))
+            share_cols.append(col)
         return table, share_cols
 
     def demand_views(self, ctx, demands: tuple[int, ...]):
         table, share_cols = ctx
         _, rcol = self._key_columns
-        e_d = sum(1 << ((self.K - k) * self.N + d - 1) for k, d in enumerate(demands, 1))
+        e_d = pack((1 << (d - 1) for d in demands), self.N)
         bases = list(map(table.__getitem__, map(xor, rcol, repeat(e_d))))
         return [map(or_, col, bases) if col else bases for col in share_cols]
 
@@ -408,10 +398,8 @@ class _BaselineEnum:
         self.lib_bits = p.N * p.F
 
     def lib_ctx(self, lib: int):
-        F = self.params.F
-        whole = Bits(self.N * F, lib)
-        payload, _ = baseline_deliver(self.params, [whole.slice(n * F, (n + 1) * F) for n in range(self.N)])
-        return [(payload.v,)] * self.K
+        payload = baseline_broadcast(self.params, split(lib, self.N, self.params.F))
+        return [(payload,)] * self.K
 
     def demand_views(self, ctx, demands):
         return ctx  # demand-independent by construction
@@ -512,7 +500,7 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
     # One user's key draws: its t vectors and their combined mask r.
     draws = []
     for x in range(per_user_keys):
-        (p,) = KeyMaterial.unpack(1, t, N, x)
+        p = split(x, t, N)
         draws.append((p, reduce(xor, p, 0)))
     # seen[k0-1][i-1]: the (alpha, j) of user i's key shares in user k0's caches.
     seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in en.shares]
@@ -604,17 +592,17 @@ def remark1_attack(
 
     window = accessible_caches(attacker, cfg)
     j0 = min(cb.label[3] for cache in placement for cb in cache.coded if cb.label[1] == victim)
-    key_estimate = Bits.zeros(cfg.subfile_bits)
+    key_estimate = 0
     for c in window:
         for cb in placement[c - 1].coded:
             tag, owner, alpha, j = cb.label
             if tag == "S" and owner == victim and j == j0:
-                key_estimate ^= cb.block
-    candidate = coeff_xor_subfiles(tx.q_columns[victim - 1], library, j0) ^ key_estimate
-    for n in range(1, cfg.N + 1):
-        if library.subfile(n, j0) == candidate:
-            return n
-    return candidate.v % cfg.N + 1  # no match: effectively a chance guess
+                key_estimate ^= cb.block.v
+    column = library.column(j0)
+    candidate = coeff_xor(tx.q_columns[victim - 1], column) ^ key_estimate
+    if candidate in column:
+        return column.index(candidate) + 1
+    return candidate % cfg.N + 1  # no match: effectively a chance guess
 
 
 def attack_success_rate(
@@ -624,11 +612,13 @@ def attack_success_rate(
     library: SubfileLibrary,
     seeds: Sequence[int],
 ) -> Fraction:
+    """The attack's hit rate over every seed and demand vector; refuses past 10**6 trials."""
+    trials, budget = len(seeds) * cfg.N**cfg.K, 10**6  # the decodability sweep's bound
+    if trials > budget:
+        raise BudgetExceededError(trials, budget, "attack sweep")
     hits = 0
-    trials = 0
     for seed in seeds:
         for demands in all_demand_vectors(cfg.N, cfg.K):
-            trials += 1
             if remark1_attack(base, cfg, offsets, library, seed, demands) == demands[0]:
                 hits += 1
     return Fraction(hits, trials)

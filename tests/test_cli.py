@@ -1,6 +1,7 @@
 import json
 
 import macc.cli
+import macc.verify
 from macc.cli import main
 
 
@@ -81,6 +82,36 @@ def test_tradeoff_lifted(capsys):
     line = capsys.readouterr().out.strip().splitlines()[1]
     m, r, qb, name, t = line.split(",")
     assert (m, r, qb, t) == ("5/3", "1/3", "9", "2")
+
+
+def test_tradeoff_lifted_resolves_the_base_scheme_before_the_grid(capsys):
+    # An unknown base scheme or a network it does not fit is a usage error, even
+    # when the grid would skip every point.
+    assert main(["tradeoff", "--scheme", "lifted:nope", "--memory-grid", "1/2"]) == 2
+    assert "unknown scheme 'nope'" in capsys.readouterr().err
+    assert main(["tradeoff", "--scheme", "lifted:example1", "--K", "4", "--L", "2"]) == 2
+
+
+def test_tradeoff_lifted_reports_each_skipped_grid_point(capsys):
+    # example1 stores M = N/K = 1 at N=3: the 1/2 point is skipped aloud, the row is unchanged.
+    assert main(["tradeoff", "--scheme", "lifted:example1", "--N", "3", "--memory-grid", "1/2,1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["skipping M=1/2: needs M*K/N integral"]
+    assert captured.out.splitlines()[1:] == ["5/3,1/3,9,lifted:example1,2"]
+    assert main(["tradeoff", "--scheme", "lifted:example1", "--N", "3", "--memory-grid", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["skipping M=2: example1 stores M=1 here"]
+    assert captured.out.splitlines() == ["M_file_units,rate_file_units,q_overhead_bits,scheme,t"]
+
+
+def test_attack_refuses_past_its_trial_budget(capsys, monkeypatch):
+    # 2 seeds x 3^13 demand vectors = 3,188,646 trials, past the 10**6 bound.
+    def attack(*args, **kwargs):
+        raise AssertionError("attack trial ran before the budget refusal")
+
+    monkeypatch.setattr(macc.verify, "remark1_attack", attack)
+    assert main(["attack", "--K", "13", "--L", "7", "--N", "3", "--seeds", "2"]) == 3
+    assert "3188646" in capsys.readouterr().err
 
 
 def test_attack_command(tmp_path, capsys):

@@ -4,11 +4,12 @@ import pytest
 
 from macc import (
     algorithm1_private_set,
+    Bits,
     KeyMaterial,
     NetworkConfig,
     accessible_caches,
     all_demand_vectors,
-    coeff_xor_subfiles,
+    coeff_xor,
     lift_decode,
     lift_deliver,
     lift_place,
@@ -17,6 +18,8 @@ from macc import (
     random_library,
     share_cache,
 )
+from macc.lifting import virtual_config
+from macc.model import SubfileLibrary
 
 
 def run_all_users(base, cfg, offsets, library, seed, demands):
@@ -46,11 +49,11 @@ def test_key_material_from_int_is_a_bijection():
     assert km.p == ((0b11,), (0b01,))
 
 
-def test_coeff_xor_subfiles():
+def test_coeff_xor_on_a_subfile_column():
     lib = random_library(3, 9, 3, 2)
     j = 2
-    assert coeff_xor_subfiles(0b101, lib, j) == lib.subfile(1, j) ^ lib.subfile(3, j)
-    assert coeff_xor_subfiles(0, lib, j).v == 0
+    assert coeff_xor(0b101, lib.column(j)) == (lib.subfile(1, j) ^ lib.subfile(3, j)).v
+    assert coeff_xor(0, lib.column(j)) == 0
 
 
 def test_lifted_memory_formula():
@@ -90,7 +93,7 @@ def test_example1_cache_layout():
         for cb in cache.coded:
             _, owner, alpha, j = cb.label
             assert j == missing[owner]
-            assert cb.block == coeff_xor_subfiles(keys.p[owner - 1][alpha - 1], lib, j)
+            assert cb.block.v == coeff_xor(keys.p[owner - 1][alpha - 1], lib.column(j))
 
     # Memory accounting: 3 uncoded subfiles of 2 bits plus 2 shares of 2 bits
     # per cache is (N + 2) / 3 files.
@@ -152,6 +155,29 @@ def test_zero_keys_reduce_to_base_scheme():
     tx = lift_deliver(base, cfg, keys, lib, demands)
     base_payload, _ = base.deliver(cfg, lib, demands)
     assert tx.payload == base_payload
+
+
+@pytest.mark.parametrize(
+    "base, cfg, offsets",
+    [
+        (make_scheme("example1"), NetworkConfig(3, 2, 2, 6, 3), (1, 2)),
+        (make_scheme("example1"), NetworkConfig(3, 2, 3, 6, 3), (1, 2)),
+        (make_scheme("cyclic-uncoded", 1), NetworkConfig(4, 2, 2, 8, 4), (1,)),
+    ],
+    ids=["example1-N2", "example1-N3", "cyclic-uncoded-K4-L2-tp1"],
+)
+def test_lifted_payload_is_the_base_delivery_over_the_virtual_library(base, cfg, offsets):
+    # The virtual library holds, for user v, the subfiles of the files q_v selects.
+    lib = random_library(cfg.N, cfg.F, cfg.K, 12)
+    for seed, demands in enumerate(all_demand_vectors(cfg.N, cfg.K)):
+        keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
+        tx = lift_deliver(base, cfg, keys, lib, demands)
+        vlib = SubfileLibrary(tuple(
+            tuple(Bits(cfg.subfile_bits, coeff_xor(q, lib.column(j))) for j in range(1, cfg.K + 1))
+            for q in tx.q_columns
+        ))
+        payload, rate = base.deliver(virtual_config(cfg), vlib, tuple(range(1, cfg.K + 1)))
+        assert (tx.payload, tx.rate) == (payload, rate)
 
 
 def test_lift_place_rejects_non_private_offsets():

@@ -7,13 +7,14 @@ from macc import (
     SubfileLibrary,
     accessible_caches,
     all_demand_vectors,
-    concat_bits,
     library_from_int,
     mod_index,
+    pack,
     random_library,
+    split,
     split_library,
-    xor_bits,
 )
+from macc.model import field
 
 
 def test_bits_basic():
@@ -22,8 +23,6 @@ def test_bits_basic():
     assert b.to01() == "1011"
     assert b.bit(0) == 1 and b.bit(1) == 0 and b.bit(3) == 1
     assert (b ^ Bits.from01("0110")).to01() == "1101"
-    assert b.slice(1, 3).to01() == "01"
-    assert b.concat(Bits.from01("00")).to01() == "101100"
     assert Bits.zeros(3).to01() == "000"
 
 
@@ -37,19 +36,18 @@ def test_bits_rejects_overflow():
         Bits(2, 4)
 
 
-@given(st.integers(1, 40), st.data())
-def test_bits_slice_concat_inverse(n, data):
-    v = data.draw(st.integers(0, 2**n - 1))
-    cut = data.draw(st.integers(0, n))
-    b = Bits(n, v)
-    assert b.slice(0, cut).concat(b.slice(cut, n)) == b
-
-
-def test_concat_and_xor_helpers():
-    parts = [Bits.from01("10"), Bits.from01("01"), Bits.from01("11")]
-    assert concat_bits(parts).to01() == "100111"
-    assert xor_bits(parts).to01() == "00"
-    assert xor_bits([], n=3) == Bits.zeros(3)
+@given(st.integers(0, 6), st.integers(0, 12), st.data())
+def test_pack_split_round_trip(count, width, data):
+    x = data.draw(st.integers(0, 2 ** (count * width + 3) - 1))
+    fields = split(x, count, width)
+    assert len(fields) == count and pack(fields, width) == (x if count else 0)
+    if x < 1 << (count * width):
+        # In range, every field fits its width and ``field`` cuts each one alone.
+        assert all(0 <= f < 1 << width for f in fields)
+        assert [field(x, i, count, width) for i in range(count)] == fields
+    # Known layout: the first field sits in the top bits.
+    assert pack([0b10, 0b01, 0b11], 2) == 0b100111
+    assert split(0b100111, 3, 2) == [0b10, 0b01, 0b11]
 
 
 def test_mod_index_wraps_to_K_not_zero():

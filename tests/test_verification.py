@@ -399,3 +399,20 @@ def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
                     shares = (shares << b) | cb.block.v
             want = (shares << en.share_shift) | (q << en.pay_shift) | tx.payload.v
             assert list(user_views)[key_index] == want
+
+
+def test_users_missing_no_subfile_need_no_key_shares():
+    # Cyclic-uncoded K=4, L=2, t_p=2: every window holds all four subfile indices,
+    # so no key share is placed and even offsets that are no private set verify private.
+    base, cfg = make_scheme("cyclic-uncoded", 2), NetworkConfig(4, 2, 2, 4, 4)
+    assert all(base.missing_subfile_indices(cfg, k) == () for k in range(1, 5))
+    lib = random_library(2, 4, 4, 9)
+    keys = KeyMaterial.generate(4, 1, 2, 9)
+    placement = lift_place(base, cfg, (1,), lib, keys, enforce_private=False)
+    assert all(cache.coded == () for cache in placement)
+    for engine in ("factored", "full"):
+        report = verify_privacy_exact(LiftedInstance(base, cfg, (1,)), engine=engine)
+        assert report.engine == engine and report.private
+        assert all(u.mi_bits == 0 and isinstance(u.mi_bits, Fraction) for u in report.users)
+    with pytest.raises(ValueError):
+        lift_place(base, cfg, (1,), lib, keys)
