@@ -45,9 +45,31 @@ def test_pack_split_round_trip(count, width, data):
         # In range, every field fits its width and ``field`` cuts each one alone.
         assert all(0 <= f < 1 << width for f in fields)
         assert [field(x, i, count, width) for i in range(count)] == fields
+
+
+@given(st.integers(1, 40), st.data())
+def test_bits_slice_concat_inverse(n, data):
+    # Cutting a Bits value into 1-bit fields follows Bits.bit order, and packing a head
+    # and a tail cut at any point joins back to the whole value.
+    v = data.draw(st.integers(0, 2**n - 1))
+    cut = data.draw(st.integers(0, n))
+    b = Bits(n, v)
+    bits = split(b.v, n, 1)
+    assert bits == [b.bit(i) for i in range(n)]
+    head, tail = pack(bits[:cut], 1), pack(bits[cut:], 1)
+    assert Bits(cut, head).to01() + Bits(n - cut, tail).to01() == b.to01()
+    assert Bits(n, (head << (n - cut)) | tail) == b
+
+
+def test_concat_and_xor_helpers():
     # Known layout: the first field sits in the top bits.
-    assert pack([0b10, 0b01, 0b11], 2) == 0b100111
-    assert split(0b100111, 3, 2) == [0b10, 0b01, 0b11]
+    parts = [Bits.from01("10"), Bits.from01("01"), Bits.from01("11")]
+    assert Bits(6, pack([p.v for p in parts], 2)).to01() == "100111"
+    assert split(0b100111, 3, 2) == [p.v for p in parts]
+    acc = Bits.zeros(2)
+    for p in parts:
+        acc = acc ^ p
+    assert acc.to01() == "00"
 
 
 def test_mod_index_wraps_to_K_not_zero():
