@@ -7,8 +7,10 @@ material) across the other users' demands. Two exact engines are provided:
 * ``full``     — enumerate every (library, key draw, demand vector) state.
 * ``factored`` — exploit that the per-user key vectors are drawn independently,
   so the varying part of a view factorizes across users; each factor is
-  enumerated exhaustively on its own. Used when the full state space exceeds
-  the budget.
+  enumerated exhaustively on its own. A factor sees the library only through
+  the subfile columns its key shares name, so it is computed once per distinct
+  content of those columns and reused across libraries. Used when the full
+  state space exceeds the budget.
 
 Both engines decide the identical condition; their agreement is itself tested.
 Each engine refuses before it enumerates when its state count exceeds the budget.
@@ -62,6 +64,7 @@ from .model import (
     accessible_caches,
     all_demand_vectors,
     library_from_int,
+    mod_index,
     pack,
     split,
 )
@@ -183,14 +186,13 @@ def make_nonprivate_runner(
 
 
 def make_baseline_runner(params: BaselineParams, files: Sequence[Bits]) -> Runner:
+    """Placement, broadcast and each user's N decoded files are fixed, so all are made once."""
     placement = baseline_place(params, files)
     payload, _ = baseline_deliver(params, files)
+    decoded = [baseline_decode(params, k, payload, placement) for k in range(1, params.K + 1)]
 
     def run(seed, demands):
-        return [
-            baseline_decode(params, k, payload, placement)[demands[k - 1] - 1]
-            for k in range(1, params.K + 1)
-        ]
+        return [own[d - 1] for own, d in zip(decoded, demands)]
 
     return run
 
@@ -333,10 +335,13 @@ class _LiftedEnum(_SchemeEnum):
         self.pay_shift = lift_deliver(inst.base, cfg, zero_keys, zero_library, (1,) * self.K).payload.n
         self.share_shift = self.pay_shift + self.K * self.N
 
-    def coeff_tables(self, lib: int) -> list[list[int]]:
-        """``xors[j-1][coeff]``: the XOR of the j-th subfiles the coefficient mask selects."""
-        columns = zip(*super().lib_ctx(lib))
-        return [[coeff_xor(coeff, column) for coeff in range(1 << self.N)] for column in columns]
+    def columns(self, lib: int) -> list[tuple[int, ...]]:
+        """``columns[j-1]``: the j-th subfiles W_{1,j}, ..., W_{N,j} of library ``lib``."""
+        return list(zip(*super().lib_ctx(lib)))
+
+    def coeff_table(self, column: Sequence[int]) -> list[int]:
+        """``xors[coeff]``: the XOR of the column's subfiles the coefficient mask selects."""
+        return [coeff_xor(coeff, column) for coeff in range(1 << self.N)]
 
     @cached_property
     def _key_columns(self) -> tuple[list[list[list[int]]], list[int]]:
@@ -358,7 +363,7 @@ class _LiftedEnum(_SchemeEnum):
 
     def lib_ctx(self, lib: int):
         """The view base for every packed Q, and each user's shifted share column."""
-        xors = self.coeff_tables(lib)
+        xors = list(map(self.coeff_table, self.columns(lib)))
         vcfg, users = virtual_config(self.cfg), tuple(range(1, self.K + 1))
         table = []
         for q_packed in range(1 << (self.K * self.N)):
@@ -490,6 +495,14 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
     column q_i). The view distributions match across the other demands iff
     every factor's distribution is d_i-invariant, and the total MI is the mean
     over libraries of the per-factor MI sum.
+
+    A share p_{i,a}·(column j) depends on the library only through column j, so
+    a factor is a function of its share labels and the content of the columns
+    they name. Its MI is computed once per distinct (labels, packed visible
+    columns) and reused for every library that agrees on those columns; a
+    factor with no visible share is the same for every library. The library
+    loop keeps its order, so each MI sum adds the same floats in the same order
+    and each witness names the first leaking library.
     """
     N, K, t = en.N, en.K, en.t
     n_libs = 1 << en.lib_bits
@@ -504,30 +517,42 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
         draws.append((p, reduce(xor, p, 0)))
     # seen[k0-1][i-1]: the (alpha, j) of user i's key shares in user k0's caches.
     seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in en.shares]
+    cells = [(k0, i, seen[k0 - 1][i - 1]) for k0 in range(1, K + 1) for i in range(1, K + 1) if i != k0]
+    distinct = {labels for _, _, labels in cells}
+    width = en.cfg.subfile_bits
+    memo: dict = {}  # (labels, packed visible columns) -> the factor's MI
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     for lib in range(n_libs):
-        xors = en.coeff_tables(lib)
-        for k0 in range(1, K + 1):
-            for i in range(1, K + 1):
-                if i == k0:
-                    continue
-                labels = seen[k0 - 1][i - 1]
+        columns = en.columns(lib)
+        packed = [pack(column, width) for column in columns]
+        leaks = {}  # labels -> the factor's nonzero MI at this library
+        for labels in distinct:
+            key = (labels, pack((packed[j - 1] for _, j in labels), N * width))
+            mi_cell = memo.get(key)
+            if mi_cell is None:
+                xors = {j: en.coeff_table(columns[j - 1]) for _, j in labels}
                 joint: dict = {}
                 for p, r in draws:
-                    blocks = tuple(xors[j - 1][p[a - 1]] for a, j in labels)
+                    blocks = tuple(xors[j][p[a - 1]] for a, j in labels)
                     for d_i in range(1, N + 1):
                         kk = (d_i, (blocks, r ^ (1 << (d_i - 1))))
                         joint[kk] = joint.get(kk, 0) + 1
-                mi_cell = mutual_information_exact(joint)
-                if mi_cell != 0:
-                    mi_sum[k0 - 1] = mi_sum[k0 - 1] + mi_cell
-                    if witness[k0 - 1] is None:
-                        witness[k0 - 1] = {
-                            "library": lib,
-                            "leaking_user": i,
-                            "detail": "distribution of (visible key shares, q column) varies with this user's demand",
-                        }
+                mi_cell = memo[key] = mutual_information_exact(joint)
+            if mi_cell != 0:
+                leaks[labels] = mi_cell
+        if not leaks:
+            continue
+        for k0, i, labels in cells:
+            mi_cell = leaks.get(labels)
+            if mi_cell is not None:
+                mi_sum[k0 - 1] = mi_sum[k0 - 1] + mi_cell
+                if witness[k0 - 1] is None:
+                    witness[k0 - 1] = {
+                        "library": lib,
+                        "leaking_user": i,
+                        "detail": "distribution of (visible key shares, q column) varies with this user's demand",
+                    }
     report = PrivacyReport("factored", states)
     for k0 in range(K):
         mi = mi_sum[k0] / n_libs if mi_sum[k0] else Fraction(0)
@@ -563,6 +588,41 @@ def verify_privacy_exact(instance, budget: int = 10**8, engine: str = "auto") ->
 # Known-broken key placement: the attack recovering a victim's demand
 
 
+def _remark1_attacker(
+    base: NonPrivateScheme,
+    cfg: NetworkConfig,
+    offsets: Sequence[int],
+    library: SubfileLibrary,
+    seed: int,
+    victim: int,
+    attacker: Union[int, None],
+) -> Callable[[Sequence[int]], int]:
+    """Place once for the key seed; the returned trial guesses the victim's demand per delivery."""
+    if attacker is None:
+        attacker = mod_index(victim + cfg.L - 1, cfg.K)
+    keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
+    placement = lift_place(base, cfg, tuple(sorted(offsets)), library, keys, enforce_private=False)
+
+    window = accessible_caches(attacker, cfg)
+    j0 = min(cb.label[3] for cache in placement for cb in cache.coded if cb.label[1] == victim)
+    key_estimate = 0
+    for c in window:
+        for cb in placement[c - 1].coded:
+            tag, owner, alpha, j = cb.label
+            if tag == "S" and owner == victim and j == j0:
+                key_estimate ^= cb.block.v
+    column = library.column(j0)
+
+    def trial(demands: Sequence[int]) -> int:
+        tx = lift_deliver(base, cfg, keys, library, demands)
+        candidate = coeff_xor(tx.q_columns[victim - 1], column) ^ key_estimate
+        if candidate in column:
+            return column.index(candidate) + 1
+        return candidate % cfg.N + 1  # no match: effectively a chance guess
+
+    return trial
+
+
 def remark1_attack(
     base: NonPrivateScheme,
     cfg: NetworkConfig,
@@ -581,28 +641,7 @@ def remark1_attack(
     when the attacker sees all of the victim's shares, as with the naive
     {Z_k, Z_{<k+L-1>}} placement for L > ceil(K/2).
     """
-    from .model import mod_index
-
-    if attacker is None:
-        attacker = mod_index(victim + cfg.L - 1, cfg.K)
-    offsets = tuple(sorted(offsets))
-    keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
-    placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
-    tx = lift_deliver(base, cfg, keys, library, demands)
-
-    window = accessible_caches(attacker, cfg)
-    j0 = min(cb.label[3] for cache in placement for cb in cache.coded if cb.label[1] == victim)
-    key_estimate = 0
-    for c in window:
-        for cb in placement[c - 1].coded:
-            tag, owner, alpha, j = cb.label
-            if tag == "S" and owner == victim and j == j0:
-                key_estimate ^= cb.block.v
-    column = library.column(j0)
-    candidate = coeff_xor(tx.q_columns[victim - 1], column) ^ key_estimate
-    if candidate in column:
-        return column.index(candidate) + 1
-    return candidate % cfg.N + 1  # no match: effectively a chance guess
+    return _remark1_attacker(base, cfg, offsets, library, seed, victim, attacker)(demands)
 
 
 def attack_success_rate(
@@ -612,13 +651,17 @@ def attack_success_rate(
     library: SubfileLibrary,
     seeds: Sequence[int],
 ) -> Fraction:
-    """The attack's hit rate over every seed and demand vector; refuses past 10**6 trials."""
+    """The attack's hit rate over every seed and demand vector; refuses past 10**6 trials.
+
+    The placement depends only on the key seed, so each seed places once.
+    """
     trials, budget = len(seeds) * cfg.N**cfg.K, 10**6  # the decodability sweep's bound
     if trials > budget:
         raise BudgetExceededError(trials, budget, "attack sweep")
     hits = 0
     for seed in seeds:
+        trial = _remark1_attacker(base, cfg, offsets, library, seed, 1, None)
         for demands in all_demand_vectors(cfg.N, cfg.K):
-            if remark1_attack(base, cfg, offsets, library, seed, demands) == demands[0]:
+            if trial(demands) == demands[0]:
                 hits += 1
     return Fraction(hits, trials)

@@ -106,10 +106,11 @@ def test_tradeoff_lifted_reports_each_skipped_grid_point(capsys):
 
 def test_attack_refuses_past_its_trial_budget(capsys, monkeypatch):
     # 2 seeds x 3^13 demand vectors = 3,188,646 trials, past the 10**6 bound.
-    def attack(*args, **kwargs):
+    # Every trial comes from the per-seed attacker, so it must not be built.
+    def attacker(*args, **kwargs):
         raise AssertionError("attack trial ran before the budget refusal")
 
-    monkeypatch.setattr(macc.verify, "remark1_attack", attack)
+    monkeypatch.setattr(macc.verify, "_remark1_attacker", attacker)
     assert main(["attack", "--K", "13", "--L", "7", "--N", "3", "--seeds", "2"]) == 3
     assert "3188646" in capsys.readouterr().err
 

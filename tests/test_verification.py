@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import macc.verify
 from macc import (
     BaselineInstance,
     BaselineParams,
@@ -17,10 +18,12 @@ from macc import (
     algorithm1_private_set,
     all_demand_vectors,
     attack_success_rate,
+    coeff_xor,
     lift_decode,
     lift_deliver,
     lift_place,
     library_from_int,
+    make_baseline_runner,
     make_lifted_runner,
     make_nonprivate_runner,
     make_scheme,
@@ -30,7 +33,7 @@ from macc import (
     verify_decodability,
     verify_privacy_exact,
 )
-from macc.verify import _LiftedEnum
+from macc.verify import PrivacyReport, UserPrivacyVerdict, _LiftedEnum
 
 
 def mi_direct(counts):
@@ -245,6 +248,48 @@ def test_lifted_runner_round_trip():
     assert rep.ok and rep.checked == 2 * 8
 
 
+def test_baseline_runner_decodes_once_per_user(monkeypatch):
+    p = BaselineParams(4, 2, 3, 24, Fraction(1))
+    files = [random_library(1, p.F, 1, 40 + n).file(1) for n in range(p.N)]
+    calls = []
+    real = macc.verify.baseline_decode
+    monkeypatch.setattr(macc.verify, "baseline_decode", lambda *a: calls.append(a[1]) or real(*a))
+    rep = verify_decodability(make_baseline_runner(p, files), p.K, p.N, files)
+    assert rep.ok and rep.checked == p.N**p.K
+    assert calls == [1, 2, 3, 4]
+
+
+def test_baseline_runner_sees_a_corrupted_coded_block(monkeypatch):
+    from macc import Bits, CacheContent, CodedBlock
+
+    p = BaselineParams(4, 2, 3, 24, Fraction(1))
+    files = [random_library(1, p.F, 1, 40 + n).file(1) for n in range(p.N)]
+    real = macc.verify.baseline_place
+
+    def flipped(params, fs):
+        caches = list(real(params, fs))
+        first, *rest = caches[1].coded
+        bad = CodedBlock(first.label, first.block ^ Bits(first.block.n, 1))
+        caches[1] = CacheContent(caches[1].uncoded, (bad, *rest))
+        return tuple(caches)
+
+    monkeypatch.setattr(macc.verify, "baseline_place", flipped)
+    rep = verify_decodability(make_baseline_runner(p, files), p.K, p.N, files)
+    assert not rep.ok
+
+
+def test_attack_places_once_per_seed(monkeypatch):
+    cfg = NetworkConfig(4, 3, 3, 32, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = _distinct_library(cfg)
+    calls = []
+    real = macc.verify.lift_place
+    monkeypatch.setattr(macc.verify, "lift_place", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    seeds = [7, 8, 9]
+    assert attack_success_rate(base, cfg, (1, 3), lib, seeds=seeds) == 1
+    assert len(calls) == len(seeds)
+
+
 def test_nonprivate_runner_round_trip():
     cfg = NetworkConfig(4, 2, 2, 4, 4)
     s = make_scheme("cyclic-uncoded", 2)
@@ -290,6 +335,82 @@ def test_nonprivate_mi_values(scheme, cfg, mi):
     rep = verify_privacy_exact(NonPrivateInstance(scheme, cfg), budget=10**6)
     assert rep.engine == "full"
     assert [v.mi_bits for v in rep.users] == pytest.approx([mi] * cfg.K, abs=1e-9)
+
+
+def _per_library_factored(inst):
+    """The factored engine without its memo: every (viewer, other user) factor is
+    rebuilt from the library's ``coeff_xor`` tables and scored at every library."""
+    en = _LiftedEnum(inst)
+    cfg, K, N, t = inst.cfg, en.K, en.N, en.t
+    n_libs = 1 << en.lib_bits
+    draws = []
+    for x in range(1 << (t * N)):
+        p = [(x >> (N * (t - 1 - a))) & ((1 << N) - 1) for a in range(t)]
+        r = 0
+        for v in p:
+            r ^= v
+        draws.append((p, r))
+    seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in en.shares]
+    mi_sum = [Fraction(0)] * K
+    witness = [None] * K
+    for lib in range(n_libs):
+        library = library_from_int(N, cfg.subfiles_per_file, cfg.subfile_bits, lib)
+        xors = [
+            [coeff_xor(coeff, library.column(j)) for coeff in range(1 << N)]
+            for j in range(1, cfg.subfiles_per_file + 1)
+        ]
+        for k0 in range(1, K + 1):
+            for i in range(1, K + 1):
+                if i == k0:
+                    continue
+                labels = seen[k0 - 1][i - 1]
+                joint = {}
+                for p, r in draws:
+                    blocks = tuple(xors[j - 1][p[a - 1]] for a, j in labels)
+                    for d_i in range(1, N + 1):
+                        kk = (d_i, (blocks, r ^ (1 << (d_i - 1))))
+                        joint[kk] = joint.get(kk, 0) + 1
+                mi_cell = mutual_information_exact(joint)
+                if mi_cell != 0:
+                    mi_sum[k0 - 1] = mi_sum[k0 - 1] + mi_cell
+                    if witness[k0 - 1] is None:
+                        witness[k0 - 1] = {
+                            "library": lib,
+                            "leaking_user": i,
+                            "detail": "distribution of (visible key shares, q column) varies with this user's demand",
+                        }
+    report = PrivacyReport("factored", n_libs * K * (K - 1) * len(draws) * N)
+    for k0 in range(K):
+        mi = mi_sum[k0] / n_libs if mi_sum[k0] else Fraction(0)
+        report.users.append(UserPrivacyVerdict(k0 + 1, witness[k0] is None, mi, witness[k0]))
+    return report
+
+
+@pytest.mark.parametrize(
+    "tp, offsets, private", [(0, (1, 3), False), (1, (1, 2, 3), True)], ids=["tp0-leak", "tp1-private"]
+)
+def test_factored_memo_matches_per_library_loop(tp, offsets, private):
+    # Users at t_p = 0 miss every subfile, so each factor's labels name several columns.
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(4, 3, 2, 4, 4), offsets)
+    memo = verify_privacy_exact(inst, engine="factored")
+    reference = _per_library_factored(inst)
+    assert repr(memo) == repr(reference)
+    assert memo.private == private
+    if not private:
+        assert [u.mi_bits for u in memo.users] == pytest.approx([0.9375] * 4, abs=1e-12)
+
+
+def test_factored_memo_scores_each_distinct_factor_once(monkeypatch):
+    calls = []
+    real = macc.verify.mutual_information_exact
+    monkeypatch.setattr(macc.verify, "mutual_information_exact", lambda joint: calls.append(1) or real(joint))
+    K = 5
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", 0), NetworkConfig(K, 2, 2, 5, 5), (1, 2))
+    report = verify_privacy_exact(inst, engine="factored")
+    n_libs = 1 << 10
+    assert report.states == n_libs * K * (K - 1) * (1 << 4) * 2
+    # One call per distinct (labels, visible columns): 2,049 here, not one per library and cell.
+    assert 0 < len(calls) < n_libs * K * (K - 1)
 
 
 def test_factored_engine_honours_budget():
