@@ -56,7 +56,6 @@ from .verify import (
     make_lifted_runner,
     make_nonprivate_runner,
     mutual_information_exact,
-    remark1_attack,
     verify_decodability,
     verify_privacy_exact,
 )

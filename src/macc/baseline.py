@@ -50,11 +50,14 @@ class BaselineParams:
     def rate(self) -> Fraction:
         return self.N - self.L * self.M
 
+    def check_files(self, files: Sequence[Bits]) -> None:
+        if len(files) != self.N or any(f.n != self.F for f in files):
+            raise ValueError(f"expected {self.N} files of {self.F} bits")
+
 
 def baseline_place(params: BaselineParams, files: Sequence[Bits]) -> PlacementState:
     """Cache k holds, for every file n, the AIR-coded block over the file's L cached pieces."""
-    if len(files) != params.N or any(f.n != params.F for f in files):
-        raise ValueError(f"expected {params.N} files of {params.F} bits")
+    params.check_files(files)
     air = build_air(params.K, params.L)
     # A file is its L cached pieces, then the broadcast remainder in the low bits.
     pieces = [split(split(f.v, 2, params.broadcast_bits)[0], params.L, params.part_bits) for f in files]
@@ -74,6 +77,7 @@ def baseline_broadcast(params: BaselineParams, files: Sequence[int]) -> int:
 
 def baseline_deliver(params: BaselineParams, files: Sequence[Bits]) -> tuple[Bits, Fraction]:
     """Broadcast the uncached remainder of every file, in file order; demand-independent."""
+    params.check_files(files)
     payload = baseline_broadcast(params, [f.v for f in files])
     return Bits(len(files) * params.broadcast_bits, payload), params.rate
 

@@ -26,6 +26,7 @@ from .verify import (
     BudgetExceededError,
     LiftedInstance,
     NonPrivateInstance,
+    PRIVACY_BUDGET,
     attack_success_rate,
     make_baseline_runner,
     make_lifted_runner,
@@ -148,19 +149,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tradeoff(args) -> int:
+    """The rows do not depend on the random library or keys, so those come from ``DEFAULT_SEED``."""
     grid = [parse_fraction(x) for x in args.memory_grid.split(",")] if args.memory_grid else []
     rows = []
     scheme = args.scheme
 
     if scheme == "baseline-private":
-        F = args.F if args.F else memory_grid_file_size(args.N, args.L, grid or [Fraction(1)])
+        grid = grid or [Fraction(1)]
+        F = args.F if args.F else memory_grid_file_size(args.N, args.L, grid)
         for M in sorted(grid):
             try:
                 params = BaselineParams(args.K, args.L, args.N, F, M)
             except ValueError as e:
                 print(f"skipping M={M}: {e}", file=sys.stderr)
                 continue
-            files = [random_library(1, F, 1, args.seed + n).file(1) for n in range(args.N)]
+            files = [random_library(1, F, 1, DEFAULT_SEED + n).file(1) for n in range(args.N)]
             payload, rate = baseline_deliver(params, files)
             assert Fraction(payload.n, F) == rate
             rows.append((M, rate, 0, scheme, ""))
@@ -184,7 +187,7 @@ def cmd_tradeoff(args) -> int:
             except ValueError as e:
                 print(f"skipping M={M}: {e}", file=sys.stderr)
                 continue
-            rows.extend(_lifted_rows(base, cfg, offsets, args.seed, scheme))
+            rows.extend(_lifted_rows(base, cfg, offsets, scheme))
     else:
         raise UsageError(f"tradeoff supports baseline-private and lifted:* schemes, not {scheme!r}")
 
@@ -200,11 +203,11 @@ def cmd_tradeoff(args) -> int:
     return 0
 
 
-def _lifted_rows(base, cfg, offsets, seed, scheme_name):
+def _lifted_rows(base, cfg, offsets, scheme_name):
     t = len(offsets)
     M = base.memory_per_cache(cfg)
-    library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, seed)
-    keys = KeyMaterial.generate(cfg.K, t, cfg.N, seed)
+    library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, DEFAULT_SEED)
+    keys = KeyMaterial.generate(cfg.K, t, cfg.N, DEFAULT_SEED)
     tx = lift_deliver(base, cfg, keys, library, tuple(1 for _ in range(cfg.K)))
     assert Fraction(tx.payload.n, cfg.F) == tx.rate
     m_tilde = lifted_memory(M, t, cfg.L, cfg.N)
@@ -213,7 +216,7 @@ def _lifted_rows(base, cfg, offsets, seed, scheme_name):
 
 def cmd_private_set(args) -> int:
     with _from_flags():
-        cfg = NetworkConfig(args.K, args.L, max(args.N, 1), args.K, args.K)
+        cfg = NetworkConfig(args.K, args.L, 1, args.K, args.K)
         alg = algorithm1_private_set(cfg)
         t_star, witness = smallest_private_set_oracle(cfg)
     bound = math.ceil((cfg.K - 1) / (cfg.K - cfg.L))
@@ -276,43 +279,48 @@ def _distinct_column_library(cfg: NetworkConfig, seed: int) -> SubfileLibrary:
     raise UsageError("could not draw a library with distinct subfile columns")
 
 
+# Flags shared between subcommands; each subcommand adds only those it reads.
+FLAGS: dict[str, dict] = {
+    "K": dict(type=int, default=3),
+    "L": dict(type=int, default=2),
+    "N": dict(type=int, default=2),
+    "F": dict(type=int, default=0, help="file bits (0 = auto)"),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "private_set": dict(default="oracle", choices=["oracle", "algorithm1", "full", "naive-lwcc"]),
+    "output": dict(default=None),
+    "scheme": dict(required=True),
+    "t_placement": dict(type=int, default=1),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="macc", description=__doc__)
     p.add_argument("--config", help="JSON file of flag defaults (flags override)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scheme=True):
-        sp.add_argument("--K", type=int, default=3)
-        sp.add_argument("--L", type=int, default=2)
-        sp.add_argument("--N", type=int, default=2)
-        sp.add_argument("--F", type=int, default=0, help="file bits (0 = auto)")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--private-set", dest="private_set", default="oracle",
-                        choices=["oracle", "algorithm1", "full", "naive-lwcc"])
-        sp.add_argument("--output", default=None)
-        if scheme:
-            sp.add_argument("--scheme", required=True)
-            sp.add_argument("--t-placement", dest="t_placement", type=int, default=1)
+    def add(sp, *dests):
+        for dest in dests:
+            sp.add_argument("--" + dest.replace("_", "-"), **FLAGS[dest])
 
     v = sub.add_parser("verify", help="run decodability and privacy verification")
-    common(v)
+    add(v, "K", "L", "N", "F", "seed", "private_set", "output", "scheme", "t_placement")
     v.add_argument("--M", default="1", help="baseline memory in file units (rational)")
-    v.add_argument("--budget", type=int, default=10**8)
+    v.add_argument("--budget", type=int, default=PRIVACY_BUDGET)
     v.add_argument("--expect-leak", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
     t = sub.add_parser("tradeoff", help="emit (memory, rate) CSV rows")
-    common(t)
+    add(t, "K", "L", "N", "F", "private_set", "output", "scheme")
     t.add_argument("--memory-grid", dest="memory_grid", default="")
     t.add_argument("--float", action="store_true", help="emit decimals instead of rationals")
     t.set_defaults(fn=cmd_tradeoff)
 
     ps = sub.add_parser("private-set", help="print Algorithm-1 set and the oracle minimum")
-    common(ps, scheme=False)
+    add(ps, "K", "L", "output")
     ps.set_defaults(fn=cmd_private_set)
 
     a = sub.add_parser("attack", help="run the broken-key-placement demand-recovery attack")
-    common(a, scheme=False)
+    add(a, "K", "L", "N", "seed", "private_set", "output")
     a.add_argument("--seeds", type=int, default=3, help="number of key seeds to sweep")
     a.set_defaults(fn=cmd_attack)
     p.subcommand_parsers = [v, t, ps, a]

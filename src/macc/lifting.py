@@ -37,12 +37,11 @@ from .schemes import NonPrivateScheme, check_condition_c1
 
 @dataclass(frozen=True)
 class KeyMaterial:
-    """K*t uniform coefficient vectors over GF(2)^N, regenerable from the seed."""
+    """K*t uniform coefficient vectors over GF(2)^N; ``generate`` draws them from a seed."""
 
     K: int
     t: int
     N: int
-    seed: int | None
     p: tuple[tuple[int, ...], ...]  # p[k-1][alpha-1], each an N-bit mask
 
     def __post_init__(self) -> None:
@@ -55,7 +54,7 @@ class KeyMaterial:
     def generate(cls, K: int, t: int, N: int, seed: int) -> "KeyMaterial":
         rng = random.Random(seed)
         p = tuple(tuple(rng.getrandbits(N) for _ in range(t)) for _ in range(K))
-        return cls(K, t, N, seed, p)
+        return cls(K, t, N, p)
 
     @classmethod
     def from_int(cls, K: int, t: int, N: int, x: int) -> "KeyMaterial":
@@ -63,7 +62,7 @@ class KeyMaterial:
         if not 0 <= x < (1 << (K * t * N)):
             raise ValueError("key index out of range")
         flat = split(x, K * t, N)
-        return cls(K, t, N, None, tuple(tuple(flat[k * t : (k + 1) * t]) for k in range(K)))
+        return cls(K, t, N, tuple(tuple(flat[k * t : (k + 1) * t]) for k in range(K)))
 
     def r(self, k: int) -> int:
         """Combined mask r_k, the XOR of user k's t vectors."""
@@ -99,6 +98,7 @@ def lift_place(
     (used to demonstrate the known-broken naive placement).
     """
     base.validate(cfg)
+    library.check_fits(cfg)
     offsets = tuple(sorted(offsets))
     t = len(offsets)
     if not check_condition_c1(base, cfg):
@@ -146,6 +146,7 @@ def lift_deliver(
     """Broadcast (Q, payload): masked demand columns plus the base delivery over virtual files."""
     if len(demands) != cfg.K or any(not 1 <= d <= cfg.N for d in demands):
         raise ValueError(f"bad demand vector {tuple(demands)} for N={cfg.N}, K={cfg.K}")
+    library.check_fits(cfg)
     q = tuple(keys.r(k) ^ (1 << (demands[k - 1] - 1)) for k in range(1, cfg.K + 1))
     vcfg, users = virtual_config(cfg), tuple(range(1, cfg.K + 1))
     base.validate(vcfg)

@@ -158,6 +158,12 @@ class SubfileLibrary:
     def file(self, n: int) -> Bits:
         return Bits(self.file_bits, pack((sf.v for sf in self.files[n - 1]), self.subfile_bits))
 
+    def check_fits(self, cfg: NetworkConfig) -> None:
+        """Refuse this library if its file count, subfile count or subfile bits differ from ``cfg``."""
+        shape = (self.n_files, self.subfiles_per_file, self.subfile_bits)
+        if shape != (cfg.N, cfg.subfiles_per_file, cfg.subfile_bits):
+            raise ValueError(f"library (files, subfiles, subfile bits) = {shape} does not fit {cfg}")
+
 
 RawFile = Union[str, Bits]
 

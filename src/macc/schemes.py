@@ -97,6 +97,7 @@ class NonPrivateScheme(ABC):
         self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
     ) -> tuple[Bits, Fraction]:
         self.validate(cfg)
+        library.check_fits(cfg)
         demands = tuple(demands)
         if any(not 1 <= d <= cfg.N for d in demands) or len(demands) != cfg.K:
             raise ValueError(f"bad demand vector {demands} for N={cfg.N}, K={cfg.K}")

@@ -64,11 +64,13 @@ from .model import (
     accessible_caches,
     all_demand_vectors,
     library_from_int,
-    mod_index,
     pack,
     split,
 )
 from .schemes import NonPrivateScheme
+
+ROUND_TRIP_BUDGET = 10**6
+PRIVACY_BUDGET = 10**8
 
 
 class BudgetExceededError(Exception):
@@ -144,16 +146,15 @@ def verify_decodability(
     N: int,
     files: Sequence[Bits],
     seeds: Sequence[Union[int, None]] = (None,),
-    guard: int = 10**6,
 ) -> DecodabilityReport:
     """Check that every user decodes its demanded file for every demand vector.
 
     ``run(seed, demands)`` must return the K decoded files. Refuses (never
-    samples) before the first round trip when seeds x N^K exceeds the guard.
+    samples) before the first round trip when seeds x N^K exceeds ``ROUND_TRIP_BUDGET``.
     """
     space = len(seeds) * N**K
-    if space > guard:
-        raise BudgetExceededError(space, guard, "decodability sweep")
+    if space > ROUND_TRIP_BUDGET:
+        raise BudgetExceededError(space, ROUND_TRIP_BUDGET, "decodability sweep")
     checked = 0
     for seed in seeds:
         for demands in all_demand_vectors(N, K):
@@ -560,7 +561,7 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
     return report
 
 
-def verify_privacy_exact(instance, budget: int = 10**8, engine: str = "auto") -> PrivacyReport:
+def verify_privacy_exact(instance, budget: int = PRIVACY_BUDGET, engine: str = "auto") -> PrivacyReport:
     """Demand-privacy verdict with exact MI, by exhaustive enumeration.
 
     ``engine``: "full", "factored" (lifted schemes only), or "auto" (full when
@@ -594,54 +595,28 @@ def _remark1_attacker(
     offsets: Sequence[int],
     library: SubfileLibrary,
     seed: int,
-    victim: int,
-    attacker: Union[int, None],
 ) -> Callable[[Sequence[int]], int]:
-    """Place once for the key seed; the returned trial guesses the victim's demand per delivery."""
-    if attacker is None:
-        attacker = mod_index(victim + cfg.L - 1, cfg.K)
+    """Place once for the key seed; the returned trial guesses user 1's demand per delivery."""
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
     placement = lift_place(base, cfg, tuple(sorted(offsets)), library, keys, enforce_private=False)
 
-    window = accessible_caches(attacker, cfg)
-    j0 = min(cb.label[3] for cache in placement for cb in cache.coded if cb.label[1] == victim)
+    j0 = min(cb.label[3] for cache in placement for cb in cache.coded if cb.label[1] == 1)
     key_estimate = 0
-    for c in window:
+    for c in accessible_caches(cfg.L, cfg):
         for cb in placement[c - 1].coded:
             tag, owner, alpha, j = cb.label
-            if tag == "S" and owner == victim and j == j0:
+            if tag == "S" and owner == 1 and j == j0:
                 key_estimate ^= cb.block.v
     column = library.column(j0)
 
     def trial(demands: Sequence[int]) -> int:
         tx = lift_deliver(base, cfg, keys, library, demands)
-        candidate = coeff_xor(tx.q_columns[victim - 1], column) ^ key_estimate
+        candidate = coeff_xor(tx.q_columns[0], column) ^ key_estimate
         if candidate in column:
             return column.index(candidate) + 1
         return candidate % cfg.N + 1  # no match: effectively a chance guess
 
     return trial
-
-
-def remark1_attack(
-    base: NonPrivateScheme,
-    cfg: NetworkConfig,
-    offsets: Sequence[int],
-    library: SubfileLibrary,
-    seed: int,
-    demands: Sequence[int],
-    victim: int = 1,
-    attacker: Union[int, None] = None,
-) -> int:
-    """Recover the victim's demand from the attacker's view alone.
-
-    The attacker XORs whichever of the victim's key shares sit in its own
-    caches, strips the result from the victim's masked virtual subfile, and
-    matches the outcome against the (known) library. Succeeds deterministically
-    when the attacker sees all of the victim's shares, as with the naive
-    {Z_k, Z_{<k+L-1>}} placement for L > ceil(K/2).
-    """
-    return _remark1_attacker(base, cfg, offsets, library, seed, victim, attacker)(demands)
 
 
 def attack_success_rate(
@@ -651,16 +626,21 @@ def attack_success_rate(
     library: SubfileLibrary,
     seeds: Sequence[int],
 ) -> Fraction:
-    """The attack's hit rate over every seed and demand vector; refuses past 10**6 trials.
+    """How often user L recovers user 1's demand, over every seed and demand vector.
 
-    The placement depends only on the key seed, so each seed places once.
+    The attacker XORs whichever of user 1's key shares sit in its own caches,
+    strips the result from user 1's masked virtual subfile, and matches the
+    outcome against the (known) library. It succeeds deterministically when it
+    sees all of user 1's shares, as with the naive {Z_k, Z_{<k+L-1>}} placement
+    for L > ceil(K/2). The placement depends only on the key seed, so each seed
+    places once. Refuses past ``ROUND_TRIP_BUDGET`` trials.
     """
-    trials, budget = len(seeds) * cfg.N**cfg.K, 10**6  # the decodability sweep's bound
-    if trials > budget:
-        raise BudgetExceededError(trials, budget, "attack sweep")
+    trials = len(seeds) * cfg.N**cfg.K
+    if trials > ROUND_TRIP_BUDGET:
+        raise BudgetExceededError(trials, ROUND_TRIP_BUDGET, "attack sweep")
     hits = 0
     for seed in seeds:
-        trial = _remark1_attacker(base, cfg, offsets, library, seed, 1, None)
+        trial = _remark1_attacker(base, cfg, offsets, library, seed)
         for demands in all_demand_vectors(cfg.N, cfg.K):
             if trial(demands) == demands[0]:
                 hits += 1

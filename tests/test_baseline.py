@@ -98,10 +98,11 @@ def test_rate_identity_measured():
 
 def test_place_rejects_wrong_files():
     p = BaselineParams(3, 2, 2, 6, Fraction(1))
-    with pytest.raises(ValueError):
-        baseline_place(p, [Bits.zeros(6)])
-    with pytest.raises(ValueError):
-        baseline_place(p, [Bits.zeros(5), Bits.zeros(5)])
+    for entry in (baseline_place, baseline_deliver):
+        with pytest.raises(ValueError):
+            entry(p, [Bits.zeros(6)])
+        with pytest.raises(ValueError):
+            entry(p, [Bits.zeros(5), Bits.zeros(5)])
 
 
 def test_memory_grid_file_size():

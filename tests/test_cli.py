@@ -1,8 +1,24 @@
+import argparse
 import json
+
+import pytest
 
 import macc.cli
 import macc.verify
-from macc.cli import main
+from macc.cli import build_parser, main
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return super().__getattribute__(name)
 
 
 def test_private_set_command(capsys):
@@ -178,3 +194,48 @@ def test_internal_value_error_exits_four(capsys, monkeypatch):
     assert main(["verify", "--scheme", "lifted:example1", "--N", "2", "--F", "3"]) == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "planted internal fault" in err
+
+
+def test_every_subcommand_flag_is_read():
+    # Each subcommand runs on tiny inputs, once per path through it; a flag
+    # that no run reads changes no output and has no place on the command line.
+    runs = {
+        "verify": [
+            ["--scheme", "baseline-private"],
+            ["--scheme", "lifted:cyclic-uncoded"],
+            ["--scheme", "example1", "--expect-leak"],
+        ],
+        "tradeoff": [["--scheme", "baseline-private"], ["--scheme", "lifted:example1"]],
+        "private-set": [["--K", "3", "--L", "2"]],
+        "attack": [["--K", "3", "--L", "2", "--N", "2", "--seeds", "1"]],
+    }
+    tiny = {"verify": ["--K", "2", "--L", "1", "--N", "1"]}
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for command, argvs in runs.items():
+        read = set()
+        for argv in argvs:
+            args = parser.parse_args([command, *tiny.get(command, []), *argv], namespace=RecordingNamespace())
+            args._reads.clear()  # argparse reads every dest while it parses
+            assert args.fn(args) in (0, 1)
+            read |= args._reads
+        defined = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+        if defined - read:
+            unread[command] = sorted(defined - read)
+    assert unread == {}
+
+
+def test_removed_flag_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["private-set", "--N", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --N 3" in capsys.readouterr().err
+
+
+def test_tradeoff_baseline_defaults_to_unit_memory(capsys):
+    assert main(["tradeoff", "--scheme", "baseline-private"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "M_file_units,rate_file_units,q_overhead_bits,scheme,t",
+        "1,0,0,baseline-private,",
+    ]

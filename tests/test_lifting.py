@@ -38,7 +38,7 @@ def test_key_material_shapes_and_determinism():
     assert len(a.p) == 3 and all(len(row) == 2 for row in a.p)
     assert a.r(1) == a.p[0][0] ^ a.p[0][1]
     with pytest.raises(ValueError):
-        KeyMaterial(2, 1, 2, None, ((4,), (0,)))  # vector exceeds N bits
+        KeyMaterial(2, 1, 2, ((4,), (0,)))  # vector exceeds N bits
 
 
 def test_key_material_from_int_is_a_bijection():
@@ -150,7 +150,7 @@ def test_zero_keys_reduce_to_base_scheme():
     cfg = NetworkConfig(3, 2, 2, 6, 3)
     base = make_scheme("example1")
     lib = random_library(2, 6, 3, 6)
-    keys = KeyMaterial(3, 2, 2, None, ((0, 0),) * 3)
+    keys = KeyMaterial(3, 2, 2, ((0, 0),) * 3)
     demands = (2, 1, 1)
     tx = lift_deliver(base, cfg, keys, lib, demands)
     base_payload, _ = base.deliver(cfg, lib, demands)

@@ -29,7 +29,6 @@ from macc import (
     make_scheme,
     mutual_information_exact,
     random_library,
-    remark1_attack,
     verify_decodability,
     verify_privacy_exact,
 )
@@ -93,17 +92,41 @@ def test_verify_decodability_reports_failure_with_witness():
 
 def test_verify_decodability_refuses_oversized_sweep():
     with pytest.raises(BudgetExceededError):
-        verify_decodability(lambda s, d: [], 30, 4, [], guard=10**6)
+        verify_decodability(lambda s, d: [], 30, 4, [])
 
 
 def test_verify_decodability_budgets_every_seed():
-    # 2 seeds x 2^10 demand vectors exceed the guard though 2^10 alone does not.
+    # 2 seeds x 2^19 demand vectors exceed the 10**6 bound though 2^19 alone does not.
     def run(seed, demands):
         raise AssertionError("round trip ran before the budget refusal")
 
     with pytest.raises(BudgetExceededError) as err:
-        verify_decodability(run, 10, 2, [], seeds=(0, 1), guard=1500)
-    assert err.value.required == 2 * 2**10 and err.value.budget == 1500
+        verify_decodability(run, 19, 2, [], seeds=(0, 1))
+    assert err.value.required == 2 * 2**19 and err.value.budget == 10**6
+
+
+@pytest.mark.parametrize(
+    "N, F, S",
+    [(3, 6, 3), (2, 4, 2), (2, 3, 3)],
+    ids=["extra-file", "subfile-count", "subfile-bits"],
+)
+def test_library_that_does_not_fit_the_network_is_refused(N, F, S):
+    # The network holds 2 files of 3 subfiles x 2 bits; a misfit library is a
+    # usage error at every entry point, raised before any round trip completes.
+    cfg = NetworkConfig(3, 2, 2, 6, 3)
+    lib = random_library(N, F, S, 0)
+    base = make_scheme("example1")
+    offsets = algorithm1_private_set(cfg).caches
+    keys = KeyMaterial.generate(3, len(offsets), 2, 0)
+    with pytest.raises(ValueError, match="does not fit"):
+        lift_place(base, cfg, offsets, lib, keys)
+    with pytest.raises(ValueError, match="does not fit"):
+        lift_deliver(base, cfg, keys, lib, (1, 1, 1))
+    with pytest.raises(ValueError, match="does not fit"):
+        base.deliver(cfg, lib, (1, 1, 1))
+    for run in (make_lifted_runner(base, cfg, offsets, lib), make_nonprivate_runner(base, cfg, lib)):
+        with pytest.raises(ValueError, match="does not fit"):
+            verify_decodability(run, 3, 2, [], seeds=(0,))
 
 
 def test_baseline_privacy_exact_zero():
