@@ -125,10 +125,18 @@ def lift_place(
 
 @dataclass(frozen=True)
 class LiftedTransmission:
+    """The broadcast (Q, payload). The payload travels as its blocks in plan order;
+    ``payload`` packs them into one ``Bits`` on demand."""
+
     q_columns: tuple[int, ...]  # column k at index k-1, an N-bit mask
     n_files: int
-    payload: Bits
+    blocks: tuple[int, ...]
+    subfile_bits: int
     rate: Fraction
+
+    @property
+    def payload(self) -> Bits:
+        return Bits(len(self.blocks) * self.subfile_bits, pack(self.blocks, self.subfile_bits))
 
     @property
     def q_bits(self) -> int:
@@ -151,9 +159,9 @@ def lift_deliver(
     vcfg, users = virtual_config(cfg), tuple(range(1, cfg.K + 1))
     base.validate(vcfg)
     columns = [library.column(j) for j in range(1, cfg.subfiles_per_file + 1)]
-    payload = base.payload(vcfg, users, lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
-    bits = len(base._plan(vcfg, users)) * cfg.subfile_bits
-    return LiftedTransmission(q, cfg.N, Bits(bits, payload), Fraction(bits, cfg.F))
+    blocks = base.blocks(vcfg, users, lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
+    rate = Fraction(len(blocks) * cfg.subfile_bits, cfg.F)
+    return LiftedTransmission(q, cfg.N, blocks, cfg.subfile_bits, rate)
 
 
 def lift_decode(
@@ -184,7 +192,7 @@ def lift_decode(
         return coeff_xor(tx.q_columns[v - 1], [cached(n, j) for n in range(1, cfg.N + 1)])
 
     users = tuple(range(1, cfg.K + 1))
-    parts = base.decode_missing(virtual_config(cfg), k, tx.payload.v, virtual, users)
+    parts = base.decode_missing(virtual_config(cfg), k, tx.blocks, virtual, users)
     for c in window:
         for cb in placement[c - 1].coded:
             tag, owner, _, j = cb.label

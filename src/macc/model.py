@@ -2,9 +2,11 @@
 
 One bit layout serves the whole package: fixed-width fields sit MSB-first in one
 int, the first field in the top bits. Subfiles in a file, blocks in a payload,
-key vectors in a key index and Q columns all follow it, through ``pack``,
-``split`` and ``field``. The scheme code computes on those ints and builds a
-``Bits`` only where a value leaves a public function.
+key vectors in a key index and Q columns all follow it, through ``pack`` and
+``split``, its only two kernels. The scheme code computes on those ints and
+builds a ``Bits`` only where a value leaves a public function. A payload travels
+between delivery and decoding as a tuple of its block ints, in plan order, and
+is packed only where it leaves a public function or becomes a privacy view.
 """
 
 from __future__ import annotations
@@ -66,11 +68,6 @@ def split(x: int, count: int, width: int) -> list[int]:
     mask = (1 << width) - 1
     rest = [(x >> (width * i)) & mask for i in range(count - 2, -1, -1)]
     return [x >> (width * (count - 1)), *rest] if count else []
-
-
-def field(x: int, i: int, count: int, width: int) -> int:
-    """Field ``i`` (0-based) of ``split(x, count, width)``, cut alone: one shift, not ``count``."""
-    return (x >> (width * (count - 1 - i))) & ((1 << width) - 1)
 
 
 @dataclass(frozen=True)

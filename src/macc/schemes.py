@@ -5,9 +5,11 @@ stores of every file. ``payload_plan`` gives, per demand vector, the ordered XOR
 groups of (file, subfile) references; the payload is the groups' blocks in
 order. Every file splits into K subfiles. ``NonPrivateScheme`` derives
 memory, rate, delivery, each user's layout (once per configuration) and
-decoding from the two. ``payload`` builds the packed payload int over any int
-subfile accessor; delivery, the lifted delivery and the privacy engines all
-call it. Decoding peels the plan: a block whose only term user k
+decoding from the two. ``blocks`` is the one payload kernel: it gives the plan's
+XOR blocks as a tuple of ints, in plan order, over any int subfile accessor.
+Delivery, the lifted delivery and the privacy engines all call it; a payload is
+packed only where it leaves a public function or becomes a privacy view.
+Decoding peels the plan off the block tuple: a block whose only term user k
 has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
 off. A plan leaving a subfile unrecovered is a ``LookupError``. Both shipped
 schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
@@ -30,9 +32,9 @@ from .model import (
     PlacementState,
     SubfileLibrary,
     accessible_caches,
-    field,
     mod_index,
     pack,
+    split,
 )
 
 PayloadPlan = tuple[tuple[tuple[int, int], ...], ...]
@@ -88,10 +90,9 @@ class NonPrivateScheme(ABC):
         """Declared delivery rate in file units (demand-independent for shipped schemes)."""
         return Fraction(len(self._plan(cfg, (1,) * cfg.K)) * cfg.subfile_bits, cfg.F)
 
-    def payload(self, cfg: NetworkConfig, demands: tuple[int, ...], subfile: IntSubfile) -> int:
-        """The plan's XOR blocks packed in plan order, over the int subfiles ``subfile(n, j)``."""
-        groups = self._plan(cfg, demands)
-        return pack((reduce(xor, [subfile(n, j) for n, j in group], 0) for group in groups), cfg.subfile_bits)
+    def blocks(self, cfg: NetworkConfig, demands: tuple[int, ...], subfile: IntSubfile) -> tuple[int, ...]:
+        """The plan's XOR blocks in plan order, over the int subfiles ``subfile(n, j)``."""
+        return tuple(reduce(xor, [subfile(n, j) for n, j in group], 0) for group in self._plan(cfg, demands))
 
     def deliver(
         self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
@@ -101,22 +102,23 @@ class NonPrivateScheme(ABC):
         demands = tuple(demands)
         if any(not 1 <= d <= cfg.N for d in demands) or len(demands) != cfg.K:
             raise ValueError(f"bad demand vector {demands} for N={cfg.N}, K={cfg.K}")
-        bits = len(self._plan(cfg, demands)) * cfg.subfile_bits
-        payload = self.payload(cfg, demands, lambda n, j: library.subfile(n, j).v)
-        return Bits(bits, payload), Fraction(bits, cfg.F)
+        blocks = self.blocks(cfg, demands, lambda n, j: library.subfile(n, j).v)
+        bits = len(blocks) * cfg.subfile_bits
+        return Bits(bits, pack(blocks, cfg.subfile_bits)), Fraction(bits, cfg.F)
 
     def decode_missing(
-        self, cfg: NetworkConfig, k: int, payload: int, subfile: IntSubfile, demands: tuple[int, ...]
+        self, cfg: NetworkConfig, k: int, blocks: Sequence[int], subfile: IntSubfile, demands: tuple[int, ...]
     ) -> dict[int, int]:
-        """User k's missing subfiles of W_{d_k}, peeled off the payload int with its cached
-        ``subfile(n, j)`` ints; only the blocks it peels are cut out of the payload."""
+        """User k's missing subfiles of W_{d_k}, peeled off the payload ``blocks`` (in plan
+        order) with its cached ``subfile(n, j)`` ints."""
         stored, missing = self._layout(cfg)[k - 1]
         d_k, plan = demands[k - 1], self._plan(cfg, demands)
+        if len(blocks) != len(plan):
+            raise ValueError(f"user {k} got {len(blocks)} payload blocks, the plan has {len(plan)}")
         parts: dict[int, int] = {}
-        for pos, group in enumerate(plan):
+        for block, group in zip(blocks, plan):
             unknown = [(n, j) for n, j in group if j not in stored]
             if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in parts:
-                block = field(payload, pos, len(plan), cfg.subfile_bits)
                 parts[unknown[0][1]] = reduce(xor, [subfile(n, j) for n, j in group if j in stored], block)
         lost = [j for j in missing if j not in parts]
         if lost:
@@ -133,7 +135,13 @@ class NonPrivateScheme(ABC):
     ) -> Bits:
         """Recover W_{d_k} from the payload and cached subfiles (via `lookup`)."""
         d_k, demands = demands[k - 1], tuple(demands)
-        parts = self.decode_missing(cfg, k, payload.v, lambda n, j: lookup(n, j).v, demands)
+        count = len(self._plan(cfg, demands))
+        if payload.n != count * cfg.subfile_bits:
+            raise ValueError(
+                f"user {k} got a {payload.n}-bit payload, the plan sends {count} blocks of {cfg.subfile_bits} bits"
+            )
+        blocks = split(payload.v, count, cfg.subfile_bits)
+        parts = self.decode_missing(cfg, k, blocks, lambda n, j: lookup(n, j).v, demands)
         subfiles = (parts[j] if j in parts else lookup(d_k, j).v for j in range(1, cfg.subfiles_per_file + 1))
         return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))
 

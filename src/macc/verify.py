@@ -17,9 +17,9 @@ Each engine refuses before it enumerates when its state count exceeds the budget
 
 Views come from the scheme code that runs, not from a model of it. A lifted
 scheme's layout (the key-share labels in each user's caches) is read from one
-``lift_place`` call, and its payload from the base scheme's ``payload``, the
-kernel ``deliver`` and ``lift_deliver`` run, over the virtual subfiles. A
-non-private scheme is seen through that same ``payload``, the baseline through
+``lift_place`` call, and its payload blocks from the base scheme's ``blocks``,
+the kernel ``deliver`` and ``lift_deliver`` run, over the virtual subfiles. A
+non-private scheme is seen through that same ``blocks``, the baseline through
 ``baseline_broadcast``, the kernel of ``baseline_deliver``. A user's cached
 content that no key touches (uncoded subfiles, the baseline's coded blocks) is
 fixed within a (library, user) cell, so it is left out of the view; that moves
@@ -35,12 +35,13 @@ lifted view is one int at fixed field widths::
 
 The share blocks are the user's key shares in view order (caches ascending,
 then by label). The packed Q holds column k at bit offset ``N*(K-k)``. The
-payload is the plan's blocks in order. The broadcast depends on keys and
-demands only through ``Q = r XOR e_d``, so per library the engine tabulates
-``(Q << pay_shift) | payload`` once for every packed Q and reads it through the
-per-key column of packed ``r``. The key columns are built once per full-engine
-run, from ``KeyMaterial.from_int``; every field is cut and joined by the
-layout kernels of ``model`` (``pack``, ``split``).
+payload is the plan's blocks in order, packed here because a view is one int.
+The broadcast depends on keys and demands only through ``Q = r XOR e_d``, so
+per library the engine tabulates ``(Q << pay_shift) | payload`` once for every
+packed Q and reads it through the per-key column of packed ``r``. The key
+columns are built once per full-engine run, from ``KeyMaterial.from_int``;
+every field is cut and joined by the layout kernels of ``model`` (``pack``,
+``split``).
 """
 
 from __future__ import annotations
@@ -305,8 +306,8 @@ class _SchemeEnum:
         return [split(f, cfg.subfiles_per_file, cfg.subfile_bits) for f in split(lib, cfg.N, cfg.F)]
 
     def demand_views(self, files: list[list[int]], demands: tuple[int, ...]):
-        payload = self.scheme.payload(self.cfg, demands, lambda n, j: files[n - 1][j - 1])
-        return [(payload,)] * self.K
+        blocks = self.scheme.blocks(self.cfg, demands, lambda n, j: files[n - 1][j - 1])
+        return [(pack(blocks, self.cfg.subfile_bits),)] * self.K
 
 
 class _LiftedEnum(_SchemeEnum):
@@ -333,7 +334,8 @@ class _LiftedEnum(_SchemeEnum):
             tuple(cb.label[1:] for c in sorted(accessible_caches(k, cfg)) for cb in placement[c - 1].coded)
             for k in range(1, self.K + 1)
         ]
-        self.pay_shift = lift_deliver(inst.base, cfg, zero_keys, zero_library, (1,) * self.K).payload.n
+        zero_tx = lift_deliver(inst.base, cfg, zero_keys, zero_library, (1,) * self.K)
+        self.pay_shift = len(zero_tx.blocks) * cfg.subfile_bits
         self.share_shift = self.pay_shift + self.K * self.N
 
     def columns(self, lib: int) -> list[tuple[int, ...]]:
@@ -369,8 +371,8 @@ class _LiftedEnum(_SchemeEnum):
         table = []
         for q_packed in range(1 << (self.K * self.N)):
             q = split(q_packed, self.K, self.N)
-            payload = self.scheme.payload(vcfg, users, lambda v, j: xors[j - 1][q[v - 1]])
-            table.append((q_packed << self.pay_shift) | payload)
+            blocks = self.scheme.blocks(vcfg, users, lambda v, j: xors[j - 1][q[v - 1]])
+            table.append((q_packed << self.pay_shift) | pack(blocks, self.cfg.subfile_bits))
         pcol, _ = self._key_columns
         share_cols = []
         for labels in self.shares:

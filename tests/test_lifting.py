@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,20 @@ def test_rate_and_q_overhead():
     assert tx.payload.n == 2  # one coded block of subfile size
     assert tx.q_bits == 9  # K columns of N bits each
     assert all(0 <= q < 8 for q in tx.q_columns)
+
+
+def test_lift_decode_refuses_a_transmission_missing_a_block():
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(2, 8, 4, 5)
+    keys = KeyMaterial.generate(4, 2, 2, 5)
+    placement = lift_place(base, cfg, (1, 2), lib, keys)
+    demands = (2, 1, 1, 2)
+    tx = lift_deliver(base, cfg, keys, lib, demands)
+    assert lift_decode(base, cfg, 3, tx, placement, lib, 1) == lib.file(1)
+    short = replace(tx, blocks=tx.blocks[:-1])
+    with pytest.raises(ValueError, match="user 3"):
+        lift_decode(base, cfg, 3, short, placement, lib, 1)
 
 
 def test_q_masks_demands():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from macc import (
+    Bits,
     LiftedInstance,
     NetworkConfig,
     all_demand_vectors,
@@ -46,6 +47,18 @@ def test_example1_rate_memory_and_c1():
     assert s.rate(cfg) == Fraction(1, 3)
     assert check_condition_c1(s, cfg)
     assert s.placement_map(cfg) == (frozenset({1}), frozenset({2}), frozenset({3}))
+
+
+def test_decode_refuses_a_payload_of_the_wrong_length():
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    s = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(2, 8, 4, 21)
+    demands = (1, 2, 2, 1)
+    payload, _ = s.deliver(cfg, lib, demands)
+    assert s.decode(cfg, 2, payload, lib.subfile, demands) == lib.file(2)
+    for bad in (Bits(payload.n - cfg.subfile_bits, payload.v >> cfg.subfile_bits), Bits(payload.n + 1, payload.v)):
+        with pytest.raises(ValueError, match="user 2"):
+            s.decode(cfg, 2, bad, lib.subfile, demands)
 
 
 def test_example1_all_demands_decode():

@@ -1,10 +1,13 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import macc.lifting
+import macc.schemes
 import macc.verify
 from macc import (
     BaselineInstance,
@@ -32,6 +35,7 @@ from macc import (
     verify_decodability,
     verify_privacy_exact,
 )
+from macc.lifting import virtual_config
 from macc.verify import PrivacyReport, UserPrivacyVerdict, _LiftedEnum
 
 
@@ -299,6 +303,64 @@ def test_baseline_runner_sees_a_corrupted_coded_block(monkeypatch):
     monkeypatch.setattr(macc.verify, "baseline_place", flipped)
     rep = verify_decodability(make_baseline_runner(p, files), p.K, p.N, files)
     assert not rep.ok
+
+
+def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(2, 8, 4, 31)
+    offsets = algorithm1_private_set(cfg).caches
+    users = tuple(range(1, cfg.K + 1))
+    # The lifted delivery runs the unicast plan over virtual file v = user v, so the
+    # first group naming virtual file 2 is a block user 2 peels.
+    pos = next(i for i, group in enumerate(base.payload_plan(virtual_config(cfg), users)) if group[0][0] == 2)
+    real = macc.verify.lift_deliver
+
+    def flipped(*args):
+        tx = real(*args)
+        return replace(tx, blocks=tx.blocks[:pos] + (tx.blocks[pos] ^ 1,) + tx.blocks[pos + 1 :])
+
+    keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 9)
+    placement = lift_place(base, cfg, offsets, lib, keys)
+    demands = (1, 2, 1, 2)
+    assert lift_decode(base, cfg, 2, real(base, cfg, keys, lib, demands), placement, lib, 2) == lib.file(2)
+    assert lift_decode(base, cfg, 2, flipped(base, cfg, keys, lib, demands), placement, lib, 2) != lib.file(2)
+
+    monkeypatch.setattr(macc.verify, "lift_deliver", flipped)
+    files = [lib.file(1), lib.file(2)]
+    rep = verify_decodability(make_lifted_runner(base, cfg, offsets, lib), cfg.K, cfg.N, files, seeds=(9,))
+    assert not rep.ok and rep.failure[2] == 2
+
+
+def test_lifted_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
+    # The payload travels as a block tuple: no decoder cuts a block out of a packed
+    # payload, and the only ints packed are the decoded files.
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(2, 8, 4, 32)
+    offsets = algorithm1_private_set(cfg).caches
+    n_blocks = len(lift_deliver(base, cfg, KeyMaterial.generate(4, len(offsets), 2, 0), lib, (1,) * 4).blocks)
+    assert n_blocks != cfg.subfiles_per_file
+    real_split, real_pack = macc.schemes.split, macc.lifting.pack
+    cut, packed = [], []
+
+    def counting_split(x, count, width):
+        cut.append(count)
+        return real_split(x, count, width)
+
+    def counting_pack(fields, width):
+        fields = list(fields)
+        packed.append(len(fields))
+        return real_pack(fields, width)
+
+    monkeypatch.setattr(macc.schemes, "split", counting_split)
+    for module in (macc.schemes, macc.lifting):
+        monkeypatch.setattr(module, "pack", counting_pack)
+    files = [lib.file(1), lib.file(2)]
+    rep = verify_decodability(make_lifted_runner(base, cfg, offsets, lib), cfg.K, cfg.N, files, seeds=(0,))
+    assert rep.ok
+    assert n_blocks not in cut
+    assert packed == [cfg.subfiles_per_file] * (cfg.K * rep.checked)
 
 
 def test_attack_places_once_per_seed(monkeypatch):
