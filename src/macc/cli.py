@@ -238,6 +238,8 @@ def cmd_private_set(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.seeds < 1:
+        raise UsageError(f"--seeds must be at least 1, got {args.seeds}")
     subfile_bits = 8
     with _from_flags():
         cfg = NetworkConfig(args.K, args.L, args.N, subfile_bits * args.K, args.K)

@@ -28,8 +28,11 @@ no histogram and no MI.
 Every enumerable exposes ``lib_ctx(lib)``, the per-library tables, and
 ``demand_views(ctx, d)``, which gives for each user an iterable of that user's
 views over all key draws (one view for the keyless schemes). The full engine
-counts each iterable with ``Counter``, so the per-state work runs in C. A
-lifted view is one int at fixed field widths::
+tallies each iterable as it is made (a ``Counter`` over the key draws, or the
+lone view), so the per-state work runs in C. It then decides a library with one
+comparison when no demand vector moves any user's histogram, and only a library
+where some histogram moves is split into (user, own demand) cells. A lifted
+view is one int at fixed field widths::
 
     (share blocks << share_shift) | (packed Q << pay_shift) | payload
 
@@ -51,8 +54,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import combinations, repeat
-from operator import eq, or_, xor
+from itertools import chain, combinations, cycle, islice, repeat
+from operator import eq, itemgetter, or_, xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
@@ -151,8 +154,11 @@ def verify_decodability(
     """Check that every user decodes its demanded file for every demand vector.
 
     ``run(seed, demands)`` must return the K decoded files. Refuses (never
-    samples) before the first round trip when seeds x N^K exceeds ``ROUND_TRIP_BUDGET``.
+    samples) before the first round trip when seeds x N^K exceeds ``ROUND_TRIP_BUDGET``,
+    and raises ``ValueError`` on an empty ``seeds``, which would pass checking nothing.
     """
+    if not seeds:
+        raise ValueError("decodability sweep needs at least one seed")
     space = len(seeds) * N**K
     if space > ROUND_TRIP_BUDGET:
         raise BudgetExceededError(space, ROUND_TRIP_BUDGET, "decodability sweep")
@@ -428,40 +434,69 @@ def _make_enum(instance):
 
 
 def _full_engine(en, budget: int) -> PrivacyReport:
+    """Exact privacy check over every (library, key draw, demand vector) state.
+
+    Per library, each demand vector's views are made and tallied at once into
+    its row: each user's histogram of views over the key draws. The library-level
+    test comes first: when every row equals the first, no demand vector moves any
+    user's view distribution, so every (user, own demand) cell of the library is
+    private and the engine goes on to the next library. Only a library that
+    fails it is decided cell by cell: a cell is private when its histograms are
+    all equal, and otherwise adds its MI and, the first time, a witness. Both
+    tests run in C, and a keyed histogram is compared only through ``dict.__eq__``.
+    """
     N, K = en.N, en.K
     states = (1 << en.lib_bits) * (1 << en.key_bits) * N**K
     if states > budget:
         raise BudgetExceededError(states, budget, "full privacy enumeration")
     demand_list = list(all_demand_vectors(N, K))
     rest = [[d[:k] + d[k + 1 :] for d in demand_list] for k in range(K)]
-    # by_dk[k0]: (d_k, indices of the demand vectors giving user k0+1 that demand).
+    # by_dk[k0]: (d_k, indices of the demand vectors giving user k0+1 that demand,
+    # a getter of those entries). With N = 1 a group has one index and the getter
+    # returns a bare entry, but then there is one row and no cell is split.
     by_dk = []
     for k0 in range(K):
         groups: dict[int, list[int]] = {}
         for di, d in enumerate(demand_list):
             groups.setdefault(d[k0], []).append(di)
-        by_dk.append(list(groups.items()))
+        by_dk.append([(d_k, idxs, itemgetter(*idxs)) for d_k, idxs in groups.items()])
     if en.key_bits:
-        # Counters hold no zero counts, so plain dict equality is exact, and it runs in C.
+        # Counters hold no zero counts, so plain dict equality is exact, and it runs
+        # in C. Rows are compared histogram by histogram through it: comparing
+        # lists of Counters would run the pure-Python ``Counter.__eq__``.
         tally, same = Counter, dict.__eq__
+
+        def uniform(rows):
+            return all(map(same, cycle(rows[0]), chain.from_iterable(islice(rows, 1, None))))
+
     else:
-        # One key draw: a histogram is the lone view itself.
-        tally, same = tuple, eq
+        # One key draw: a user's histogram is its lone view, the 1-tuple the
+        # enumerable gives, so the list of them for a demand vector is its row.
+        tally, same = None, eq
+
+        def uniform(rows):
+            return rows.count(rows[0]) == len(rows)
+
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     n_cells = (1 << en.lib_bits) * N
+    rows: list = []  # rows[di]: the K histograms under demand vector di
     for lib in range(1 << en.lib_bits):
         ctx = en.lib_ctx(lib)
-        hists: list[list] = [[] for _ in range(K)]  # hists[k0][di]
-        for d in demand_list:
-            for h, views in zip(hists, en.demand_views(ctx, d)):
-                h.append(tally(views))
-        for k0, h in enumerate(hists):
-            for d_k, idxs in by_dk[k0]:
-                first = h[idxs[0]]
-                if all(same(first, h[i]) for i in idxs[1:]):
+        views = map(en.demand_views, repeat(ctx), demand_list)
+        # Each demand's views are tallied as soon as they are made, so one demand's
+        # views are held at a time. Emptying the list before refilling it keeps the
+        # last library's rows from being held next to this one's.
+        rows.clear()
+        rows.extend(map(list, map(map, repeat(tally), views)) if tally else views)
+        if uniform(rows):
+            continue
+        for k0, column in enumerate(zip(*rows)):
+            for d_k, idxs, pick in by_dk[k0]:
+                group = pick(column)
+                if all(map(same, repeat(group[0]), group)):
                     continue
-                cell = [(rest[k0][i], Counter(h[i])) for i in idxs]
+                cell = [(rest[k0][i], Counter(h)) for i, h in zip(idxs, group)]
                 joint = {(r, v): c for r, counts in cell for v, c in counts.items()}
                 mi_sum[k0] = mi_sum[k0] + mutual_information_exact(joint)
                 if witness[k0] is None:
@@ -635,8 +670,11 @@ def attack_success_rate(
     outcome against the (known) library. It succeeds deterministically when it
     sees all of user 1's shares, as with the naive {Z_k, Z_{<k+L-1>}} placement
     for L > ceil(K/2). The placement depends only on the key seed, so each seed
-    places once. Refuses past ``ROUND_TRIP_BUDGET`` trials.
+    places once. Refuses past ``ROUND_TRIP_BUDGET`` trials, and raises
+    ``ValueError`` on an empty ``seeds``, which leaves no trial to rate.
     """
+    if not seeds:
+        raise ValueError("attack sweep needs at least one seed")
     trials = len(seeds) * cfg.N**cfg.K
     if trials > ROUND_TRIP_BUDGET:
         raise BudgetExceededError(trials, ROUND_TRIP_BUDGET, "attack sweep")

@@ -131,6 +131,16 @@ def test_attack_refuses_past_its_trial_budget(capsys, monkeypatch):
     assert "3188646" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_attack_without_seeds_is_a_usage_error(capsys, monkeypatch, seeds):
+    def sweep(*args):
+        raise AssertionError("attack ran with no seed")
+
+    monkeypatch.setattr(macc.cli, "attack_success_rate", sweep)
+    assert main(["attack", "--K", "3", "--L", "2", "--N", "2", "--seeds", seeds]) == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
 def test_attack_command(tmp_path, capsys):
     out_file = tmp_path / "attack.json"
     rc = main(["attack", "--K", "4", "--L", "3", "--N", "2",

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations
+from operator import eq
 
 import pytest
 
@@ -36,7 +38,7 @@ from macc import (
     verify_privacy_exact,
 )
 from macc.lifting import virtual_config
-from macc.verify import PrivacyReport, UserPrivacyVerdict, _LiftedEnum
+from macc.verify import PrivacyReport, UserPrivacyVerdict, _BaselineEnum, _LiftedEnum, _make_enum
 
 
 def mi_direct(counts):
@@ -97,6 +99,14 @@ def test_verify_decodability_reports_failure_with_witness():
 def test_verify_decodability_refuses_oversized_sweep():
     with pytest.raises(BudgetExceededError):
         verify_decodability(lambda s, d: [], 30, 4, [])
+
+
+def test_verify_decodability_refuses_empty_seeds():
+    def run(seed, demands):
+        raise AssertionError("round trip ran with no seed to check")
+
+    with pytest.raises(ValueError, match="at least one seed"):
+        verify_decodability(run, 2, 2, [], seeds=[])
 
 
 def test_verify_decodability_budgets_every_seed():
@@ -363,6 +373,12 @@ def test_lifted_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
     assert packed == [cfg.subfiles_per_file] * (cfg.K * rep.checked)
 
 
+def test_attack_refuses_empty_seeds():
+    cfg = NetworkConfig(4, 3, 3, 32, 4)
+    with pytest.raises(ValueError, match="at least one seed"):
+        attack_success_rate(make_scheme("cyclic-uncoded", 1), cfg, (1, 3), _distinct_library(cfg), seeds=[])
+
+
 def test_attack_places_once_per_seed(monkeypatch):
     cfg = NetworkConfig(4, 3, 3, 32, 4)
     base = make_scheme("cyclic-uncoded", 1)
@@ -622,3 +638,110 @@ def test_users_missing_no_subfile_need_no_key_shares():
         assert all(u.mi_bits == 0 and isinstance(u.mi_bits, Fraction) for u in report.users)
     with pytest.raises(ValueError):
         lift_place(base, cfg, (1,), lib, keys)
+
+
+def _per_state_full_engine(en):
+    """The full engine as a per-cell loop: every (user, own demand) cell of every
+    library is compared histogram by histogram, with no library-level test."""
+    N, K = en.N, en.K
+    states = (1 << en.lib_bits) * (1 << en.key_bits) * N**K
+    demand_list = list(all_demand_vectors(N, K))
+    rest = [[d[:k] + d[k + 1 :] for d in demand_list] for k in range(K)]
+    by_dk = []
+    for k0 in range(K):
+        groups = {}
+        for di, d in enumerate(demand_list):
+            groups.setdefault(d[k0], []).append(di)
+        by_dk.append(list(groups.items()))
+    tally, same = (Counter, dict.__eq__) if en.key_bits else (tuple, eq)
+    mi_sum = [Fraction(0)] * K
+    witness = [None] * K
+    n_cells = (1 << en.lib_bits) * N
+    for lib in range(1 << en.lib_bits):
+        ctx = en.lib_ctx(lib)
+        hists = [[] for _ in range(K)]
+        for d in demand_list:
+            for h, views in zip(hists, en.demand_views(ctx, d)):
+                h.append(tally(views))
+        for k0, h in enumerate(hists):
+            for d_k, idxs in by_dk[k0]:
+                first = h[idxs[0]]
+                if all(same(first, h[i]) for i in idxs[1:]):
+                    continue
+                cell = [(rest[k0][i], Counter(h[i])) for i in idxs]
+                joint = {(r, v): c for r, counts in cell for v, c in counts.items()}
+                mi_sum[k0] = mi_sum[k0] + mutual_information_exact(joint)
+                if witness[k0] is None:
+                    for (ra, ha), (rb, hb) in combinations(cell, 2):
+                        if ha != hb:
+                            view = next(v for v in set(ha) | set(hb) if ha[v] != hb[v])
+                            witness[k0] = {
+                                "library": lib,
+                                "own_demand": d_k,
+                                "other_demands_a": list(ra),
+                                "other_demands_b": list(rb),
+                                "distinguishing_view": repr(view),
+                            }
+                            break
+    report = PrivacyReport("full", states)
+    for k0 in range(K):
+        mi = mi_sum[k0] / n_cells if mi_sum[k0] else Fraction(0)
+        report.users.append(UserPrivacyVerdict(k0 + 1, witness[k0] is None, mi, witness[k0]))
+    return report
+
+
+@pytest.mark.parametrize(
+    "inst, private",
+    [
+        (BaselineInstance(BaselineParams(3, 2, 2, 4, Fraction(0))), True),
+        (BaselineInstance(BaselineParams(3, 2, 2, 4, Fraction(1, 2))), True),
+        (BaselineInstance(BaselineParams(3, 2, 2, 4, Fraction(1))), True),
+        (NonPrivateInstance(make_scheme("example1"), NetworkConfig(3, 2, 2, 3, 3)), False),
+        (NonPrivateInstance(make_scheme("example1"), NetworkConfig(3, 2, 3, 3, 3)), False),
+        (NonPrivateInstance(make_scheme("cyclic-uncoded", 0), NetworkConfig(3, 1, 2, 3, 3)), False),
+        (NonPrivateInstance(make_scheme("cyclic-uncoded", 1), NetworkConfig(3, 1, 2, 3, 3)), False),
+        (LiftedInstance(make_scheme("cyclic-uncoded", 0), NetworkConfig(3, 2, 2, 3, 3), (1,)), False),
+        (LiftedInstance(make_scheme("cyclic-uncoded", 1), NetworkConfig(3, 1, 2, 3, 3), (1,)), True),
+    ],
+    ids=[
+        "baseline-M0",
+        "baseline-M1/2",
+        "baseline-M1",
+        "example1-N2",
+        "example1-N3",
+        "cyclic-uncoded-K3-L1-tp0",
+        "cyclic-uncoded-K3-L1-tp1",
+        "lifted-cyclic-uncoded-K3-L2-tp0-leak",
+        "lifted-cyclic-uncoded-K3-L1-tp1-private",
+    ],
+)
+def test_full_engine_matches_per_state_loop(inst, private):
+    # The zero library of a non-private scheme is demand-invariant while the others
+    # leak, so these reports go through both the library-level and the per-cell test.
+    report = verify_privacy_exact(inst, engine="full")
+    assert repr(report) == repr(_per_state_full_engine(_make_enum(inst)))
+    assert report.private == private
+
+
+def test_full_engine_makes_every_library_and_demand_view(monkeypatch):
+    calls = Counter()
+    libs = []
+    real_ctx, real_views = _BaselineEnum.lib_ctx, _BaselineEnum.demand_views
+
+    def lib_ctx(self, lib):
+        calls["lib_ctx"] += 1
+        libs.append(lib)
+        return real_ctx(self, lib)
+
+    def demand_views(self, ctx, demands):
+        calls["demand_views"] += 1
+        return real_views(self, ctx, demands)
+
+    monkeypatch.setattr(_BaselineEnum, "lib_ctx", lib_ctx)
+    monkeypatch.setattr(_BaselineEnum, "demand_views", demand_views)
+    p = BaselineParams(3, 2, 2, 4, Fraction(1, 2))
+    report = verify_privacy_exact(BaselineInstance(p), engine="full")
+    lib_bits = p.N * p.F
+    assert calls == {"lib_ctx": 2**lib_bits, "demand_views": 2**lib_bits * p.N**p.K}
+    assert libs == list(range(2**lib_bits))
+    assert report.private and report.states == 2**lib_bits * p.N**p.K
