@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .gf2 import build_air, coeff_xor, gf2_solve_window
-from .model import Bits, CacheContent, CodedBlock, NetworkConfig, PlacementState, pack, split
+from .model import Bits, CacheContent, CodedBlock, NetworkConfig, PlacementState, accessible_caches, pack, split
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ def baseline_place(params: BaselineParams, files: Sequence[Bits]) -> PlacementSt
     # A file is its L cached pieces, then the broadcast remainder in the low bits.
     pieces = [split(split(f.v, 2, params.broadcast_bits)[0], params.L, params.part_bits) for f in files]
     return tuple(
-        CacheContent(frozenset(), tuple(
+        CacheContent({}, tuple(
             CodedBlock(("C", n, k), Bits(params.part_bits, coeff_xor(air.rows[k - 1], parts)))
             for n, parts in enumerate(pieces, 1)
         ))
@@ -87,13 +87,13 @@ def baseline_decode(
 ) -> list[Bits]:
     """Reconstruct all N files from user k's L coded cache blocks plus the broadcast."""
     air = build_air(params.K, params.L)
-    window = [(k - 1 + i) % params.K for i in range(params.L)]
+    window = accessible_caches(k, NetworkConfig(params.K, params.L, params.N, params.F, 1))
     remainders = split(payload.v, params.N, params.broadcast_bits)
     out = []
     for n, rest in enumerate(remainders, 1):
         rhs = []
         for c in window:
-            (block,) = [cb.block for cb in placement[c].coded if cb.label == ("C", n, c + 1)]
+            (block,) = [cb.block for cb in placement[c - 1].coded if cb.label == ("C", n, c)]
             rhs.append(block)
         head = pack((part.v for part in gf2_solve_window(air, k, rhs)), params.part_bits)
         out.append(Bits(params.F, pack((head, rest), params.broadcast_bits)))

@@ -1,10 +1,11 @@
 """Lifting transform: wrap a C1-compliant non-private scheme into a demand-private one.
 
-Round 1 copies the base placement. Round 2 draws, per user and per private-set
-slot, a uniform coefficient vector over the N files and stores one coded key
-share per missing subfile index in that slot's cache. Delivery masks each
-demand inside a coefficient column q_k and runs the base scheme over K virtual
-files, one per user.
+Round 1 is the base placement, cached subfile values included. Round 2 draws,
+per user and per private-set slot, a uniform coefficient vector over the N files
+and stores one coded key share per missing subfile index in that slot's cache.
+Delivery masks each demand inside a coefficient column q_k and runs the base
+scheme over K virtual files, one per user. A user decodes from the broadcast
+and the caches it reaches alone.
 
 Coefficient vectors over files are plain ints: bit (n-1) selects file n.
 """
@@ -27,6 +28,7 @@ from .model import (
     PlacementState,
     SubfileLibrary,
     accessible_caches,
+    cached_subfile,
     mod_index,
     pack,
     split,
@@ -97,8 +99,7 @@ def lift_place(
     by cyclic shift. `enforce_private=False` permits invalid key placements
     (used to demonstrate the known-broken naive placement).
     """
-    base.validate(cfg)
-    library.check_fits(cfg)
+    round1 = base.place(cfg, library)
     offsets = tuple(sorted(offsets))
     t = len(offsets)
     if not check_condition_c1(base, cfg):
@@ -108,7 +109,6 @@ def lift_place(
     if (keys.K, keys.t, keys.N) != (cfg.K, t, cfg.N):
         raise ValueError("key material shape does not match the configuration")
 
-    round1 = base.place(cfg)
     extra: list[list[CodedBlock]] = [[] for _ in range(cfg.K)]
     for k in range(1, cfg.K + 1):
         for j in base.missing_subfile_indices(cfg, k):
@@ -170,21 +170,10 @@ def lift_decode(
     k: int,
     tx: LiftedTransmission,
     placement: PlacementState,
-    library: SubfileLibrary,
     d_k: int,
 ) -> Bits:
-    """Recover W_{d_k} from user k's caches, its own demand, and the transmission.
-
-    Only content reachable through user k's accessible caches is touched; the
-    library is consulted strictly through cached uncoded references.
-    """
-    window = accessible_caches(k, cfg)
-    reachable = frozenset().union(*(placement[c - 1].uncoded for c in window))
-
-    def cached(n: int, j: int) -> int:
-        if (n, j) not in reachable:
-            raise LookupError(f"subfile W_{{{n},{j}}} not in user {k}'s caches")
-        return library.subfile(n, j).v
+    """Recover W_{d_k} from user k's caches, its own demand, and the transmission."""
+    cached = cached_subfile(cfg, k, placement)
 
     # Virtual subfiles are computable from cached real subfiles because the
     # round-1 placement is file symmetric.
@@ -193,7 +182,7 @@ def lift_decode(
 
     users = tuple(range(1, cfg.K + 1))
     parts = base.decode_missing(virtual_config(cfg), k, tx.blocks, virtual, users)
-    for c in window:
+    for c in accessible_caches(k, cfg):
         for cb in placement[c - 1].coded:
             tag, owner, _, j = cb.label
             if tag == "S" and owner == k:

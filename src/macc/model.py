@@ -1,4 +1,4 @@
-"""Cyclic multi-access network model: topology, index arithmetic, bit blocks, libraries.
+"""Cyclic multi-access network model: topology, index arithmetic, bit blocks, libraries, caches.
 
 One bit layout serves the whole package: fixed-width fields sit MSB-first in one
 int, the first field in the top bits. Subfiles in a file, blocks in a payload,
@@ -12,7 +12,7 @@ is packed only where it leaves a public function or becomes a privacy view.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 @dataclass(frozen=True)
@@ -162,16 +162,12 @@ class SubfileLibrary:
             raise ValueError(f"library (files, subfiles, subfile bits) = {shape} does not fit {cfg}")
 
 
-RawFile = Union[str, Bits]
-
-
-def split_library(raw_files: Sequence[RawFile], subfiles_per_file: int) -> SubfileLibrary:
+def split_library(raw_files: Sequence[Bits], subfiles_per_file: int) -> SubfileLibrary:
     """Split each raw file into equal-size subfiles, order-preserving."""
     if subfiles_per_file < 1:
         raise ValueError("subfiles_per_file must be positive")
     files = []
-    for raw in raw_files:
-        bits = Bits.from01(raw) if isinstance(raw, str) else raw
+    for bits in raw_files:
         if bits.n % subfiles_per_file:
             raise ValueError(
                 f"file size {bits.n} not divisible by {subfiles_per_file} subfiles"
@@ -214,9 +210,9 @@ class CodedBlock:
 
 @dataclass(frozen=True)
 class CacheContent:
-    """One cache: uncoded (file, subfile) references plus coded blocks."""
+    """One cache: its uncoded subfiles, ``uncoded[(n, j)]`` = W_{n,j} as an int, plus coded blocks."""
 
-    uncoded: frozenset[tuple[int, int]]
+    uncoded: Mapping[tuple[int, int], int]
     coded: tuple[CodedBlock, ...]
 
     def stored_bits(self, subfile_bits: int) -> int:
@@ -224,3 +220,20 @@ class CacheContent:
 
 
 PlacementState = tuple[CacheContent, ...]
+IntSubfile = Callable[[int, int], int]
+
+
+def cached_subfile(cfg: NetworkConfig, k: int, placement: PlacementState) -> IntSubfile:
+    """User k's reader of uncoded content: ``subfile(n, j)`` is W_{n,j} from the caches
+    user k reaches, and a ``LookupError`` naming the user for a subfile none of them holds."""
+    reachable: dict[tuple[int, int], int] = {}
+    for c in accessible_caches(k, cfg):
+        reachable.update(placement[c - 1].uncoded)
+
+    def subfile(n: int, j: int) -> int:
+        try:
+            return reachable[n, j]
+        except KeyError:
+            raise LookupError(f"subfile W_{{{n},{j}}} not in user {k}'s caches") from None
+
+    return subfile

@@ -4,9 +4,11 @@ A scheme is two tables. ``placement_map`` gives the subfile indices each cache
 stores of every file. ``payload_plan`` gives, per demand vector, the ordered XOR
 groups of (file, subfile) references; the payload is the groups' blocks in
 order. Every file splits into K subfiles. ``NonPrivateScheme`` derives
-memory, rate, delivery, each user's layout (once per configuration) and
-decoding from the two. ``blocks`` is the one payload kernel: it gives the plan's
-XOR blocks as a tuple of ints, in plan order, over any int subfile accessor.
+memory, rate, placement, delivery, each user's layout (once per configuration)
+and decoding from the two. A placement holds the cached subfile values, and a
+decoder reads them only through ``model.cached_subfile``, over user k's caches.
+``blocks`` is the one payload kernel: it gives the plan's XOR blocks as a tuple
+of ints, in plan order, over any int subfile accessor.
 Delivery, the lifted delivery and the privacy engines all call it; a payload is
 packed only where it leaves a public function or becomes a privacy view.
 Decoding peels the plan off the block tuple: a block whose only term user k
@@ -23,24 +25,23 @@ from abc import ABC, abstractmethod
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import xor
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .model import (
     Bits,
     CacheContent,
+    IntSubfile,
     NetworkConfig,
     PlacementState,
     SubfileLibrary,
     accessible_caches,
+    cached_subfile,
     mod_index,
     pack,
     split,
 )
 
 PayloadPlan = tuple[tuple[tuple[int, int], ...], ...]
-
-SubfileLookup = Callable[[int, int], Bits]
-IntSubfile = Callable[[int, int], int]
 
 
 class NonPrivateScheme(ABC):
@@ -126,36 +127,28 @@ class NonPrivateScheme(ABC):
         return parts
 
     def decode(
-        self,
-        cfg: NetworkConfig,
-        k: int,
-        payload: Bits,
-        lookup: SubfileLookup,
-        demands: Sequence[int],
+        self, cfg: NetworkConfig, k: int, payload: Bits, placement: PlacementState, demands: Sequence[int]
     ) -> Bits:
-        """Recover W_{d_k} from the payload and cached subfiles (via `lookup`)."""
+        """Recover W_{d_k} from the payload and the subfiles in user k's caches."""
         d_k, demands = demands[k - 1], tuple(demands)
         count = len(self._plan(cfg, demands))
         if payload.n != count * cfg.subfile_bits:
             raise ValueError(
                 f"user {k} got a {payload.n}-bit payload, the plan sends {count} blocks of {cfg.subfile_bits} bits"
             )
-        blocks = split(payload.v, count, cfg.subfile_bits)
-        parts = self.decode_missing(cfg, k, blocks, lambda n, j: lookup(n, j).v, demands)
-        subfiles = (parts[j] if j in parts else lookup(d_k, j).v for j in range(1, cfg.subfiles_per_file + 1))
+        subfile = cached_subfile(cfg, k, placement)
+        parts = self.decode_missing(cfg, k, split(payload.v, count, cfg.subfile_bits), subfile, demands)
+        subfiles = (parts[j] if j in parts else subfile(d_k, j) for j in range(1, cfg.subfiles_per_file + 1))
         return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))
 
-    def place(self, cfg: NetworkConfig) -> PlacementState:
-        jmap = self.placement_map(cfg)
+    def place(self, cfg: NetworkConfig, library: SubfileLibrary) -> PlacementState:
+        """Cache c holds W_{n,j} of every file n for each index j of its ``placement_map`` entry."""
+        self.validate(cfg)
+        library.check_fits(cfg)
         return tuple(
-            CacheContent(
-                frozenset((n, j) for n in range(1, cfg.N + 1) for j in jmap[c]), ()
-            )
-            for c in range(cfg.K)
+            CacheContent({(n, j): library.subfile(n, j).v for n in range(1, cfg.N + 1) for j in js}, ())
+            for js in self.placement_map(cfg)
         )
-
-    def stored_subfile_indices(self, cfg: NetworkConfig, k: int) -> frozenset[int]:
-        return self._layout(cfg)[k - 1][0]
 
     def missing_subfile_indices(self, cfg: NetworkConfig, k: int) -> tuple[int, ...]:
         return self._layout(cfg)[k - 1][1]

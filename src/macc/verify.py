@@ -176,19 +176,14 @@ def verify_decodability(
 def make_nonprivate_runner(
     scheme: NonPrivateScheme, cfg: NetworkConfig, library: SubfileLibrary
 ) -> Runner:
+    """Places on the first round trip, so a library that does not fit is refused there."""
+    placements: list = []
+
     def run(seed, demands):
+        if not placements:
+            placements.append(scheme.place(cfg, library))
         payload, _ = scheme.deliver(cfg, library, demands)
-        out = []
-        for k in range(1, cfg.K + 1):
-            stored = scheme.stored_subfile_indices(cfg, k)
-
-            def lookup(n, j, stored=stored):
-                if j not in stored:
-                    raise LookupError(f"subfile index {j} not cached for this user")
-                return library.subfile(n, j)
-
-            out.append(scheme.decode(cfg, k, payload, lookup, demands))
-        return out
+        return [scheme.decode(cfg, k, payload, placements[0], demands) for k in range(1, cfg.K + 1)]
 
     return run
 
@@ -221,7 +216,7 @@ def make_lifted_runner(
         keys, placement = placements[seed]
         tx = lift_deliver(base, cfg, keys, library, demands)
         return [
-            lift_decode(base, cfg, k, tx, placement, library, demands[k - 1])
+            lift_decode(base, cfg, k, tx, placement, demands[k - 1])
             for k in range(1, cfg.K + 1)
         ]
 

@@ -90,7 +90,7 @@ def test_criterion_2_lifted_example1_memory_rate():
             assert Fraction(tx.payload.n, cfg.F) == Fraction(1, 3)
             assert tx.q_bits == 9
             for k in range(1, 4):
-                got = lift_decode(base, cfg, k, tx, placement, lib, demands[k - 1])
+                got = lift_decode(base, cfg, k, tx, placement, demands[k - 1])
                 assert got == lib.file(demands[k - 1])
 
     report(2, checks)
@@ -238,7 +238,7 @@ def test_criterion_8_negative_controls():
                 bad.append(CacheContent(cache.uncoded, tuple(blocks)))
             tx = lift_deliver(base, cfg, keys, lib, demands)
             return [
-                lift_decode(base, cfg, k, tx, tuple(bad), lib, demands[k - 1])
+                lift_decode(base, cfg, k, tx, tuple(bad), demands[k - 1])
                 for k in range(1, 4)
             ]
 

@@ -28,7 +28,7 @@ def run_all_users(base, cfg, offsets, library, seed, demands):
     placement = lift_place(base, cfg, offsets, library, keys)
     tx = lift_deliver(base, cfg, keys, library, demands)
     return [
-        lift_decode(base, cfg, k, tx, placement, library, demands[k - 1])
+        lift_decode(base, cfg, k, tx, placement, demands[k - 1])
         for k in range(1, cfg.K + 1)
     ]
 
@@ -75,8 +75,8 @@ def test_share_cache_shifts_cyclically():
 def test_example1_cache_layout():
     # For K=3, L=2 the full-window private set is (1, 2); user k's first share
     # lands in cache k and the second in cache k+1. Cache 1 then holds exactly
-    # the uncoded subfiles W_{n,1}, user 1's slot-1 share, and user 3's slot-2
-    # share, all for the single missing index of each owner.
+    # the uncoded subfiles W_{n,1} with their values, user 1's slot-1 share, and
+    # user 3's slot-2 share, all for the single missing index of each owner.
     N = 3
     cfg = NetworkConfig(3, 2, N, 6, 3)
     base = make_scheme("example1")
@@ -87,7 +87,7 @@ def test_example1_cache_layout():
     missing = {1: 3, 2: 1, 3: 2}
     for c in range(1, 4):
         cache = placement[c - 1]
-        assert cache.uncoded == frozenset((n, c) for n in range(1, N + 1))
+        assert cache.uncoded == {(n, c): lib.subfile(n, c).v for n in range(1, N + 1)}
         owners = sorted(cb.label[1:3] for cb in cache.coded)
         prev = 3 if c == 1 else c - 1
         assert owners == sorted([(c, 1), (prev, 2)])
@@ -143,10 +143,10 @@ def test_lift_decode_refuses_a_transmission_missing_a_block():
     placement = lift_place(base, cfg, (1, 2), lib, keys)
     demands = (2, 1, 1, 2)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    assert lift_decode(base, cfg, 3, tx, placement, lib, 1) == lib.file(1)
+    assert lift_decode(base, cfg, 3, tx, placement, 1) == lib.file(1)
     short = replace(tx, blocks=tx.blocks[:-1])
     with pytest.raises(ValueError, match="user 3"):
-        lift_decode(base, cfg, 3, short, placement, lib, 1)
+        lift_decode(base, cfg, 3, short, placement, 1)
 
 
 def test_q_masks_demands():

@@ -21,16 +21,8 @@ from macc.schemes import NonPrivateScheme
 
 def decode_all(scheme, cfg, library, demands):
     payload, _ = scheme.deliver(cfg, library, demands)
-    out = []
-    for k in range(1, cfg.K + 1):
-        stored = scheme.stored_subfile_indices(cfg, k)
-
-        def lookup(n, j, stored=stored):
-            assert j in stored, "decoder touched a subfile index it cannot reach"
-            return library.subfile(n, j)
-
-        out.append(scheme.decode(cfg, k, payload, lookup, demands))
-    return out
+    placement = scheme.place(cfg, library)
+    return [scheme.decode(cfg, k, payload, placement, demands) for k in range(1, cfg.K + 1)]
 
 
 def test_make_scheme_names():
@@ -55,10 +47,11 @@ def test_decode_refuses_a_payload_of_the_wrong_length():
     lib = random_library(2, 8, 4, 21)
     demands = (1, 2, 2, 1)
     payload, _ = s.deliver(cfg, lib, demands)
-    assert s.decode(cfg, 2, payload, lib.subfile, demands) == lib.file(2)
+    placement = s.place(cfg, lib)
+    assert s.decode(cfg, 2, payload, placement, demands) == lib.file(2)
     for bad in (Bits(payload.n - cfg.subfile_bits, payload.v >> cfg.subfile_bits), Bits(payload.n + 1, payload.v)):
         with pytest.raises(ValueError, match="user 2"):
-            s.decode(cfg, 2, bad, lib.subfile, demands)
+            s.decode(cfg, 2, bad, placement, demands)
 
 
 def test_example1_all_demands_decode():
@@ -154,18 +147,12 @@ def test_c1_detects_violation():
     class Clash(NonPrivateScheme):
         name = "clash"
 
-        def memory_per_cache(self, cfg):
-            return Fraction(cfg.N, cfg.K)
-
         def placement_map(self, cfg):
             # Caches 1 and 2 collide on subfile 1 and both sit in user 1's window.
             return tuple(frozenset({1}) for _ in range(cfg.K))
 
         def payload_plan(self, cfg, demands):
             return ()
-
-        def decode(self, cfg, k, payload, lookup, demands):
-            raise NotImplementedError
 
     assert not check_condition_c1(Clash(), NetworkConfig(4, 2, 2, 4, 4))
 

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from operator import eq
 
@@ -15,6 +16,7 @@ from macc import (
     BaselineInstance,
     BaselineParams,
     BudgetExceededError,
+    CacheContent,
     KeyMaterial,
     LiftedInstance,
     NetworkConfig,
@@ -23,6 +25,9 @@ from macc import (
     algorithm1_private_set,
     all_demand_vectors,
     attack_success_rate,
+    baseline_decode,
+    baseline_deliver,
+    baseline_place,
     coeff_xor,
     lift_decode,
     lift_deliver,
@@ -217,7 +222,7 @@ def test_corrupted_key_share_breaks_decoding():
     placement = lift_place(base, cfg, (1, 2), lib, keys)
     demands = (2, 1, 2)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    ok = lift_decode(base, cfg, 1, tx, placement, lib, 2)
+    ok = lift_decode(base, cfg, 1, tx, placement, 2)
     assert ok == lib.file(2)
 
     # Flip one bit inside one of user 1's key shares.
@@ -239,7 +244,7 @@ def test_corrupted_key_share_breaks_decoding():
         return tuple(out)
 
     bad = corrupt(placement)
-    got = lift_decode(base, cfg, 1, tx, bad, lib, 2)
+    got = lift_decode(base, cfg, 1, tx, bad, 2)
     assert got != lib.file(2)
     # The witness: exactly which bits disagree.
     assert (got ^ lib.file(2)).v != 0
@@ -315,6 +320,51 @@ def test_baseline_runner_sees_a_corrupted_coded_block(monkeypatch):
     assert not rep.ok
 
 
+def _keep_caches(placement, keep):
+    """``placement`` with every cache outside ``keep`` emptied."""
+    return tuple(cache if c in keep else CacheContent({}, ()) for c, cache in enumerate(placement, 1))
+
+
+@pytest.mark.parametrize(
+    "base, cfg",
+    [
+        (make_scheme("example1"), NetworkConfig(3, 2, 2, 6, 3)),
+        (make_scheme("cyclic-uncoded", 1), NetworkConfig(4, 2, 2, 8, 4)),
+    ],
+    ids=["example1", "cyclic-uncoded-tp1"],
+)
+def test_decoders_read_only_their_users_caches(base, cfg):
+    # User k decodes from its window alone; a cache missing from that window is a
+    # LookupError naming user k and a subfile of that cache (cache c holds index c).
+    lib = random_library(cfg.N, cfg.F, cfg.K, 61)
+    offsets = algorithm1_private_set(cfg).caches
+    keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 61)
+    placed, lifted = base.place(cfg, lib), lift_place(base, cfg, offsets, lib, keys)
+    for demands in all_demand_vectors(cfg.N, cfg.K):
+        payload, _ = base.deliver(cfg, lib, demands)
+        tx = lift_deliver(base, cfg, keys, lib, demands)
+        for k in range(1, cfg.K + 1):
+            window, want = accessible_caches(k, cfg), lib.file(demands[k - 1])
+            for decode, placement in (
+                (partial(base.decode, cfg, k, payload, demands=demands), placed),
+                (partial(lift_decode, base, cfg, k, tx, d_k=demands[k - 1]), lifted),
+            ):
+                assert decode(_keep_caches(placement, window)) == want
+                for c in window:
+                    with pytest.raises(LookupError, match=rf"W_\{{\d+,{c}\}} not in user {k}'s caches"):
+                        decode(_keep_caches(placement, set(window) - {c}))
+
+
+def test_baseline_decoder_reads_only_its_users_caches():
+    p = BaselineParams(5, 3, 3, 27, Fraction(1, 3))
+    files = [random_library(1, p.F, 1, 70 + n).file(1) for n in range(p.N)]
+    placement = baseline_place(p, files)
+    payload, _ = baseline_deliver(p, files)
+    for k in range(1, p.K + 1):
+        window = accessible_caches(k, NetworkConfig(p.K, p.L, p.N, p.F, 1))
+        assert baseline_decode(p, k, payload, _keep_caches(placement, window)) == files
+
+
 def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
     cfg = NetworkConfig(4, 2, 2, 8, 4)
     base = make_scheme("cyclic-uncoded", 1)
@@ -333,8 +383,8 @@ def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 9)
     placement = lift_place(base, cfg, offsets, lib, keys)
     demands = (1, 2, 1, 2)
-    assert lift_decode(base, cfg, 2, real(base, cfg, keys, lib, demands), placement, lib, 2) == lib.file(2)
-    assert lift_decode(base, cfg, 2, flipped(base, cfg, keys, lib, demands), placement, lib, 2) != lib.file(2)
+    assert lift_decode(base, cfg, 2, real(base, cfg, keys, lib, demands), placement, 2) == lib.file(2)
+    assert lift_decode(base, cfg, 2, flipped(base, cfg, keys, lib, demands), placement, 2) != lib.file(2)
 
     monkeypatch.setattr(macc.verify, "lift_deliver", flipped)
     files = [lib.file(1), lib.file(2)]
