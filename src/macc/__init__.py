@@ -26,8 +26,7 @@ from .lifting import (
 )
 from .model import (
     Bits,
-    CacheContent,
-    CodedBlock,
+    Cache,
     NetworkConfig,
     SubfileLibrary,
     accessible_caches,

@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .gf2 import build_air, coeff_xor, gf2_solve_window
-from .model import Bits, CacheContent, CodedBlock, NetworkConfig, PlacementState, accessible_caches, pack, split
+from .model import Bits, NetworkConfig, PlacementState, accessible_caches, cached_block, pack, split
 
 
 @dataclass(frozen=True)
@@ -56,16 +56,14 @@ class BaselineParams:
 
 
 def baseline_place(params: BaselineParams, files: Sequence[Bits]) -> PlacementState:
-    """Cache k holds, for every file n, the AIR-coded block over the file's L cached pieces."""
+    """Cache k holds, for every file n, the AIR-coded block ``("C", n, k)`` over the file's
+    L cached pieces."""
     params.check_files(files)
     air = build_air(params.K, params.L)
     # A file is its L cached pieces, then the broadcast remainder in the low bits.
     pieces = [split(split(f.v, 2, params.broadcast_bits)[0], params.L, params.part_bits) for f in files]
     return tuple(
-        CacheContent({}, tuple(
-            CodedBlock(("C", n, k), Bits(params.part_bits, coeff_xor(air.rows[k - 1], parts)))
-            for n, parts in enumerate(pieces, 1)
-        ))
+        {("C", n, k): coeff_xor(air.rows[k - 1], parts) for n, parts in enumerate(pieces, 1)}
         for k in range(1, params.K + 1)
     )
 
@@ -86,15 +84,18 @@ def baseline_decode(
     params: BaselineParams, k: int, payload: Bits, placement: PlacementState
 ) -> list[Bits]:
     """Reconstruct all N files from user k's L coded cache blocks plus the broadcast."""
+    if payload.n != params.N * params.broadcast_bits:
+        raise ValueError(
+            f"user {k} got a {payload.n}-bit payload, the broadcast sends"
+            f" {params.N} remainders of {params.broadcast_bits} bits"
+        )
     air = build_air(params.K, params.L)
-    window = accessible_caches(k, NetworkConfig(params.K, params.L, params.N, params.F, 1))
+    cfg = NetworkConfig(params.K, params.L, params.N, params.F, 1)
+    cached, window = cached_block(cfg, k, placement), accessible_caches(k, cfg)
     remainders = split(payload.v, params.N, params.broadcast_bits)
     out = []
     for n, rest in enumerate(remainders, 1):
-        rhs = []
-        for c in window:
-            (block,) = [cb.block for cb in placement[c - 1].coded if cb.label == ("C", n, c)]
-            rhs.append(block)
+        rhs = [Bits(params.part_bits, cached["C", n, c]) for c in window]
         head = pack((part.v for part in gf2_solve_window(air, k, rhs)), params.part_bits)
         out.append(Bits(params.F, pack((head, rest), params.broadcast_bits)))
     return out

@@ -2,7 +2,8 @@
 
 Round 1 is the base placement, cached subfile values included. Round 2 draws,
 per user and per private-set slot, a uniform coefficient vector over the N files
-and stores one coded key share per missing subfile index in that slot's cache.
+and stores one coded key share per missing subfile index in that slot's cache,
+under the label ``("S", k, alpha, j)``.
 Delivery masks each demand inside a coefficient column q_k and runs the base
 scheme over K virtual files, one per user. A user decodes from the broadcast
 and the caches it reaches alone.
@@ -22,13 +23,10 @@ from typing import Sequence
 from .gf2 import coeff_xor
 from .model import (
     Bits,
-    CacheContent,
-    CodedBlock,
     NetworkConfig,
     PlacementState,
     SubfileLibrary,
-    accessible_caches,
-    cached_subfile,
+    cached_block,
     mod_index,
     pack,
     split,
@@ -99,7 +97,7 @@ def lift_place(
     by cyclic shift. `enforce_private=False` permits invalid key placements
     (used to demonstrate the known-broken naive placement).
     """
-    round1 = base.place(cfg, library)
+    caches = base.place(cfg, library)  # round 1
     offsets = tuple(sorted(offsets))
     t = len(offsets)
     if not check_condition_c1(base, cfg):
@@ -109,18 +107,15 @@ def lift_place(
     if (keys.K, keys.t, keys.N) != (cfg.K, t, cfg.N):
         raise ValueError("key material shape does not match the configuration")
 
-    extra: list[list[CodedBlock]] = [[] for _ in range(cfg.K)]
+    # Each cache takes its shares in ascending (k, alpha, j) order, after its subfiles.
+    columns = [library.column(j) for j in range(1, cfg.subfiles_per_file + 1)]
     for k in range(1, cfg.K + 1):
-        for j in base.missing_subfile_indices(cfg, k):
-            column = library.column(j)
-            for alpha in range(1, t + 1):
-                block = Bits(cfg.subfile_bits, coeff_xor(keys.p[k - 1][alpha - 1], column))
-                target = share_cache(offsets, k, alpha, cfg.K)
-                extra[target - 1].append(CodedBlock(("S", k, alpha, j), block))
-    return tuple(
-        CacheContent(round1[c].uncoded, tuple(sorted(extra[c], key=lambda cb: cb.label)))
-        for c in range(cfg.K)
-    )
+        missing = base.missing_subfile_indices(cfg, k)
+        for alpha in range(1, t + 1):
+            cache = caches[share_cache(offsets, k, alpha, cfg.K) - 1]
+            for j in missing:
+                cache["S", k, alpha, j] = coeff_xor(keys.p[k - 1][alpha - 1], columns[j - 1])
+    return caches
 
 
 @dataclass(frozen=True)
@@ -167,25 +162,29 @@ def lift_deliver(
 def lift_decode(
     base: NonPrivateScheme,
     cfg: NetworkConfig,
+    offsets: Sequence[int],
     k: int,
     tx: LiftedTransmission,
     placement: PlacementState,
     d_k: int,
 ) -> Bits:
-    """Recover W_{d_k} from user k's caches, its own demand, and the transmission."""
-    cached = cached_subfile(cfg, k, placement)
+    """Recover W_{d_k} from user k's caches, its own demand, and the transmission.
+
+    ``offsets`` is the private set ``lift_place`` was given: user k strips all
+    ``len(offsets)`` of its key shares off each peeled subfile, so a share missing
+    from its caches is a ``LookupError`` rather than a wrong file.
+    """
+    cached = cached_block(cfg, k, placement)
 
     # Virtual subfiles are computable from cached real subfiles because the
     # round-1 placement is file symmetric.
     def virtual(v: int, j: int) -> int:
-        return coeff_xor(tx.q_columns[v - 1], [cached(n, j) for n in range(1, cfg.N + 1)])
+        return coeff_xor(tx.q_columns[v - 1], [cached["W", n, j] for n in range(1, cfg.N + 1)])
 
     users = tuple(range(1, cfg.K + 1))
     parts = base.decode_missing(virtual_config(cfg), k, tx.blocks, virtual, users)
-    for c in accessible_caches(k, cfg):
-        for cb in placement[c - 1].coded:
-            tag, owner, _, j = cb.label
-            if tag == "S" and owner == k:
-                parts[j] ^= cb.block.v  # strip user k's key share off the virtual subfile
-    subfiles = (parts[j] if j in parts else cached(d_k, j) for j in range(1, cfg.subfiles_per_file + 1))
+    for j in parts:
+        for alpha in range(1, len(offsets) + 1):
+            parts[j] ^= cached["S", k, alpha, j]  # strip user k's key shares off the virtual subfile
+    subfiles = (parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
     return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))

@@ -7,12 +7,14 @@ key vectors in a key index and Q columns all follow it, through ``pack`` and
 builds a ``Bits`` only where a value leaves a public function. A payload travels
 between delivery and decoding as a tuple of its block ints, in plan order, and
 is packed only where it leaves a public function or becomes a privacy view.
+A cache maps each stored block's label to its int, and every decoder reads its
+user's caches through ``cached_block`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -200,40 +202,34 @@ def all_demand_vectors(N: int, K: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(range(1, N + 1), repeat=K)
 
 
-@dataclass(frozen=True)
-class CodedBlock:
-    """A stored coded block plus the coefficient metadata identifying it."""
-
-    label: tuple
-    block: Bits
-
-
-@dataclass(frozen=True)
-class CacheContent:
-    """One cache: its uncoded subfiles, ``uncoded[(n, j)]`` = W_{n,j} as an int, plus coded blocks."""
-
-    uncoded: Mapping[tuple[int, int], int]
-    coded: tuple[CodedBlock, ...]
-
-    def stored_bits(self, subfile_bits: int) -> int:
-        return len(self.uncoded) * subfile_bits + sum(cb.block.n for cb in self.coded)
-
-
-PlacementState = tuple[CacheContent, ...]
+Cache = dict[tuple, int]
+"""One cache: each stored block's int under its label. ``("W", n, j)`` is subfile
+W_{n,j}, ``("S", k, alpha, j)`` user k's alpha-th key share of subfile j, and
+``("C", n, c)`` the baseline's AIR block of file n in cache c. The blocks of one
+cache share one width, so it stores ``len(cache) * width`` bits."""
+PlacementState = tuple[Cache, ...]
 IntSubfile = Callable[[int, int], int]
+_BLOCK_KINDS = {"W": "subfile", "S": "key share", "C": "coded block"}
 
 
-def cached_subfile(cfg: NetworkConfig, k: int, placement: PlacementState) -> IntSubfile:
-    """User k's reader of uncoded content: ``subfile(n, j)`` is W_{n,j} from the caches
-    user k reaches, and a ``LookupError`` naming the user for a subfile none of them holds."""
-    reachable: dict[tuple[int, int], int] = {}
-    for c in accessible_caches(k, cfg):
-        reachable.update(placement[c - 1].uncoded)
+class _Window(dict):
+    """One user's caches merged into one ``Cache``; reading a label none of them holds
+    is a ``LookupError`` naming the user and the block."""
 
-    def subfile(n: int, j: int) -> int:
-        try:
-            return reachable[n, j]
-        except KeyError:
-            raise LookupError(f"subfile W_{{{n},{j}}} not in user {k}'s caches") from None
+    def __init__(self, k: int, caches: Iterable[Cache]):
+        super().__init__()
+        self.k = k
+        for cache in caches:
+            self.update(cache)
 
-    return subfile
+    def __missing__(self, label: tuple) -> int:
+        tag, *index = label
+        name = f"{tag}_{{{','.join(map(str, index))}}}"
+        raise LookupError(f"{_BLOCK_KINDS[tag]} {name} not in user {self.k}'s caches")
+
+
+def cached_block(cfg: NetworkConfig, k: int, placement: PlacementState) -> Cache:
+    """User k's reader: ``cached_block(cfg, k, placement)[label]`` is the int stored under
+    ``label`` in one of the caches user k reaches, and a ``LookupError`` naming the user
+    and the block for a label none of them holds."""
+    return _Window(k, (placement[c - 1] for c in accessible_caches(k, cfg)))

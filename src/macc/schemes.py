@@ -6,7 +6,7 @@ groups of (file, subfile) references; the payload is the groups' blocks in
 order. Every file splits into K subfiles. ``NonPrivateScheme`` derives
 memory, rate, placement, delivery, each user's layout (once per configuration)
 and decoding from the two. A placement holds the cached subfile values, and a
-decoder reads them only through ``model.cached_subfile``, over user k's caches.
+decoder reads them only through ``model.cached_block``, over user k's caches.
 ``blocks`` is the one payload kernel: it gives the plan's XOR blocks as a tuple
 of ints, in plan order, over any int subfile accessor.
 Delivery, the lifted delivery and the privacy engines all call it; a payload is
@@ -29,13 +29,12 @@ from typing import Sequence
 
 from .model import (
     Bits,
-    CacheContent,
     IntSubfile,
     NetworkConfig,
     PlacementState,
     SubfileLibrary,
     accessible_caches,
-    cached_subfile,
+    cached_block,
     mod_index,
     pack,
     split,
@@ -136,9 +135,10 @@ class NonPrivateScheme(ABC):
             raise ValueError(
                 f"user {k} got a {payload.n}-bit payload, the plan sends {count} blocks of {cfg.subfile_bits} bits"
             )
-        subfile = cached_subfile(cfg, k, placement)
-        parts = self.decode_missing(cfg, k, split(payload.v, count, cfg.subfile_bits), subfile, demands)
-        subfiles = (parts[j] if j in parts else subfile(d_k, j) for j in range(1, cfg.subfiles_per_file + 1))
+        cached = cached_block(cfg, k, placement)
+        blocks = split(payload.v, count, cfg.subfile_bits)
+        parts = self.decode_missing(cfg, k, blocks, lambda n, j: cached["W", n, j], demands)
+        subfiles = (parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
         return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))
 
     def place(self, cfg: NetworkConfig, library: SubfileLibrary) -> PlacementState:
@@ -146,7 +146,7 @@ class NonPrivateScheme(ABC):
         self.validate(cfg)
         library.check_fits(cfg)
         return tuple(
-            CacheContent({(n, j): library.subfile(n, j).v for n in range(1, cfg.N + 1) for j in js}, ())
+            {("W", n, j): library.subfile(n, j).v for n in range(1, cfg.N + 1) for j in js}
             for js in self.placement_map(cfg)
         )
 

@@ -21,7 +21,7 @@ scheme's layout (the key-share labels in each user's caches) is read from one
 the kernel ``deliver`` and ``lift_deliver`` run, over the virtual subfiles. A
 non-private scheme is seen through that same ``blocks``, the baseline through
 ``baseline_broadcast``, the kernel of ``baseline_deliver``. A user's cached
-content that no key touches (uncoded subfiles, the baseline's coded blocks) is
+content that no key touches (its subfiles, the baseline's AIR blocks) is
 fixed within a (library, user) cell, so it is left out of the view; that moves
 no histogram and no MI.
 
@@ -60,13 +60,14 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
 from .gf2 import coeff_xor
-from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place, virtual_config
+from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place, share_cache, virtual_config
 from .model import (
     Bits,
     NetworkConfig,
     SubfileLibrary,
     accessible_caches,
     all_demand_vectors,
+    cached_block,
     library_from_int,
     pack,
     split,
@@ -216,7 +217,7 @@ def make_lifted_runner(
         keys, placement = placements[seed]
         tx = lift_deliver(base, cfg, keys, library, demands)
         return [
-            lift_decode(base, cfg, k, tx, placement, demands[k - 1])
+            lift_decode(base, cfg, offsets, k, tx, placement, demands[k - 1])
             for k in range(1, cfg.K + 1)
         ]
 
@@ -330,11 +331,10 @@ class _LiftedEnum(_SchemeEnum):
         zero_library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0)
         zero_keys = KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0)
         placement = lift_place(inst.base, cfg, inst.offsets, zero_library, zero_keys, enforce_private=False)
-        # Key-share labels (owner, alpha, j) in each user's caches: caches ascending, then by label.
-        self.shares = [
-            tuple(cb.label[1:] for c in sorted(accessible_caches(k, cfg)) for cb in placement[c - 1].coded)
-            for k in range(1, self.K + 1)
-        ]
+        # Key-share labels (owner, alpha, j) in each user's caches: caches ascending, then by
+        # label, the order in which ``lift_place`` inserts them.
+        windows = [sorted(accessible_caches(k, cfg)) for k in range(1, self.K + 1)]
+        self.shares = [tuple(lb[1:] for c in w for lb in placement[c - 1] if lb[0] == "S") for w in windows]
         zero_tx = lift_deliver(inst.base, cfg, zero_keys, zero_library, (1,) * self.K)
         self.pay_shift = len(zero_tx.blocks) * cfg.subfile_bits
         self.share_shift = self.pay_shift + self.K * self.N
@@ -629,16 +629,19 @@ def _remark1_attacker(
     seed: int,
 ) -> Callable[[Sequence[int]], int]:
     """Place once for the key seed; the returned trial guesses user 1's demand per delivery."""
+    offsets = tuple(sorted(offsets))
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
-    placement = lift_place(base, cfg, tuple(sorted(offsets)), library, keys, enforce_private=False)
+    placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
 
-    j0 = min(cb.label[3] for cache in placement for cb in cache.coded if cb.label[1] == 1)
-    key_estimate = 0
-    for c in accessible_caches(cfg.L, cfg):
-        for cb in placement[c - 1].coded:
-            tag, owner, alpha, j = cb.label
-            if tag == "S" and owner == 1 and j == j0:
-                key_estimate ^= cb.block.v
+    # User L reads those of user 1's key shares of subfile j0 that the placement
+    # rule puts in its own caches.
+    j0 = min(base.missing_subfile_indices(cfg, 1))
+    seen, window = cached_block(cfg, cfg.L, placement), accessible_caches(cfg.L, cfg)
+    key_estimate = reduce(xor, (
+        seen["S", 1, alpha, j0]
+        for alpha in range(1, len(offsets) + 1)
+        if share_cache(offsets, 1, alpha, cfg.K) in window
+    ), 0)
     column = library.column(j0)
 
     def trial(demands: Sequence[int]) -> int:

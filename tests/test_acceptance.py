@@ -11,8 +11,6 @@ from macc import (
     BaselineInstance,
     BaselineParams,
     Bits,
-    CacheContent,
-    CodedBlock,
     KeyMaterial,
     LiftedInstance,
     NetworkConfig,
@@ -80,7 +78,7 @@ def test_criterion_2_lifted_example1_memory_rate():
         placement = lift_place(base, cfg, (1, 2), lib, keys)
         # Memory: measure the bits actually stored per cache.
         for cache in placement:
-            stored = cache.stored_bits(cfg.subfile_bits)
+            stored = len(cache) * cfg.subfile_bits
             assert Fraction(stored, cfg.F) == Fraction(5, 3)
         assert lifted_memory(base.memory_per_cache(cfg), 2, 2, N) == Fraction(5, 3)
         # Rate and Q overhead, plus the full demand sweep.
@@ -90,7 +88,7 @@ def test_criterion_2_lifted_example1_memory_rate():
             assert Fraction(tx.payload.n, cfg.F) == Fraction(1, 3)
             assert tx.q_bits == 9
             for k in range(1, 4):
-                got = lift_decode(base, cfg, k, tx, placement, demands[k - 1])
+                got = lift_decode(base, cfg, (1, 2), k, tx, placement, demands[k - 1])
                 assert got == lib.file(demands[k - 1])
 
     report(2, checks)
@@ -179,7 +177,7 @@ def test_criterion_6_lifted_accounting():
                         keys = KeyMaterial.generate(K, t, N, seed)
                         placement = lift_place(base, cfg, offsets, lib, keys)
                         for cache in placement:
-                            measured = Fraction(cache.stored_bits(cfg.subfile_bits), cfg.F)
+                            measured = Fraction(len(cache) * cfg.subfile_bits, cfg.F)
                             assert measured == m_tilde, (K, L, t_p, measured, m_tilde)
                         for demands in all_demand_vectors(N, K):
                             tx = lift_deliver(base, cfg, keys, lib, demands)
@@ -225,20 +223,12 @@ def test_criterion_8_negative_controls():
         def corrupted_runner(seed, demands):
             keys = KeyMaterial.generate(3, 2, 2, seed)
             placement = lift_place(base, cfg, (1, 2), lib, keys)
-            bad = []
-            done = False
-            for cache in placement:
-                blocks = []
-                for cb in cache.coded:
-                    if not done:
-                        blocks.append(CodedBlock(cb.label, cb.block ^ Bits(cb.block.n, 1)))
-                        done = True
-                    else:
-                        blocks.append(cb)
-                bad.append(CacheContent(cache.uncoded, tuple(blocks)))
+            bad = [dict(cache) for cache in placement]
+            cache, share = next((c, label) for c in bad for label in c if label[0] == "S")
+            cache[share] ^= 1
             tx = lift_deliver(base, cfg, keys, lib, demands)
             return [
-                lift_decode(base, cfg, k, tx, tuple(bad), demands[k - 1])
+                lift_decode(base, cfg, (1, 2), k, tx, tuple(bad), demands[k - 1])
                 for k in range(1, 4)
             ]
 

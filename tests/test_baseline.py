@@ -41,11 +41,10 @@ def test_placement_size_matches_memory():
     p = BaselineParams(5, 3, 2, 30, Fraction(2, 3))
     placement = baseline_place(p, make_files(2, 30, 0))
     # Each cache: one coded block per file, each of part_bits.
-    for cache in placement:
-        assert not cache.uncoded
-        assert len(cache.coded) == p.N
-        assert sum(cb.block.n for cb in cache.coded) == p.N * p.part_bits
-        assert p.N * p.part_bits == p.M * p.F
+    for c, cache in enumerate(placement, 1):
+        assert list(cache) == [("C", n, c) for n in range(1, p.N + 1)]
+        assert all(0 <= v < 1 << p.part_bits for v in cache.values())
+        assert len(cache) * p.part_bits == p.M * p.F
 
 
 def test_delivery_is_demand_independent_and_sized():
@@ -110,3 +109,16 @@ def test_memory_grid_file_size():
     assert F == 3 * 2 * 6
     for M in [Fraction(1, 2), Fraction(2, 3)]:
         BaselineParams(4, 2, 3, F, M)  # constructor validates integrality
+
+
+@pytest.mark.parametrize("bits", [23, 8], ids=["one-bit-short", "one-remainder"])
+def test_decode_refuses_a_payload_of_the_wrong_length(bits):
+    # Three 8-bit remainders make a 24-bit broadcast; any other length is refused,
+    # not decoded into wrong files.
+    p = BaselineParams(4, 2, 3, 24, Fraction(1))
+    files = make_files(3, 24, 3)
+    placement = baseline_place(p, files)
+    payload, _ = baseline_deliver(p, files)
+    assert baseline_decode(p, 2, payload, placement) == files
+    with pytest.raises(ValueError, match="user 2"):
+        baseline_decode(p, 2, Bits(bits, payload.v >> (payload.n - bits)), placement)

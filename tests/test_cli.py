@@ -1,5 +1,7 @@
 import argparse
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +251,14 @@ def test_tradeoff_baseline_defaults_to_unit_memory(capsys):
         "M_file_units,rate_file_units,q_overhead_bits,scheme,t",
         "1,0,0,baseline-private,",
     ]
+
+
+def test_readme_commands_parse():
+    # Every ``macc`` line of the README's command block parses, so a README command
+    # naming a removed flag or subcommand fails here. Nothing is run.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True)[1:] for line in block.splitlines() if line.startswith("macc ")]
+    assert len(commands) >= 7
+    for argv in commands:
+        assert build_parser().parse_args(argv).command == argv[0]

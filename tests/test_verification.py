@@ -16,7 +16,6 @@ from macc import (
     BaselineInstance,
     BaselineParams,
     BudgetExceededError,
-    CacheContent,
     KeyMaterial,
     LiftedInstance,
     NetworkConfig,
@@ -39,6 +38,7 @@ from macc import (
     make_scheme,
     mutual_information_exact,
     random_library,
+    share_cache,
     verify_decodability,
     verify_privacy_exact,
 )
@@ -222,29 +222,14 @@ def test_corrupted_key_share_breaks_decoding():
     placement = lift_place(base, cfg, (1, 2), lib, keys)
     demands = (2, 1, 2)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    ok = lift_decode(base, cfg, 1, tx, placement, 2)
+    ok = lift_decode(base, cfg, (1, 2), 1, tx, placement, 2)
     assert ok == lib.file(2)
 
     # Flip one bit inside one of user 1's key shares.
-    from macc import Bits, CacheContent, CodedBlock
-
-    def corrupt(state):
-        out = []
-        done = False
-        for cache in state:
-            blocks = []
-            for cb in cache.coded:
-                if not done and cb.label[1] == 1:
-                    blocks.append(CodedBlock(cb.label, cb.block ^ Bits(cb.block.n, 1)))
-                    done = True
-                else:
-                    blocks.append(cb)
-            out.append(CacheContent(cache.uncoded, tuple(blocks)))
-        assert done
-        return tuple(out)
-
-    bad = corrupt(placement)
-    got = lift_decode(base, cfg, 1, tx, bad, 2)
+    bad = [dict(cache) for cache in placement]
+    cache, share = next((c, label) for c in bad for label in c if label[:2] == ("S", 1))
+    cache[share] ^= 1
+    got = lift_decode(base, cfg, (1, 2), 1, tx, tuple(bad), 2)
     assert got != lib.file(2)
     # The witness: exactly which bits disagree.
     assert (got ^ lib.file(2)).v != 0
@@ -302,18 +287,14 @@ def test_baseline_runner_decodes_once_per_user(monkeypatch):
 
 
 def test_baseline_runner_sees_a_corrupted_coded_block(monkeypatch):
-    from macc import Bits, CacheContent, CodedBlock
-
     p = BaselineParams(4, 2, 3, 24, Fraction(1))
     files = [random_library(1, p.F, 1, 40 + n).file(1) for n in range(p.N)]
     real = macc.verify.baseline_place
 
     def flipped(params, fs):
-        caches = list(real(params, fs))
-        first, *rest = caches[1].coded
-        bad = CodedBlock(first.label, first.block ^ Bits(first.block.n, 1))
-        caches[1] = CacheContent(caches[1].uncoded, (bad, *rest))
-        return tuple(caches)
+        caches = real(params, fs)
+        caches[1][next(iter(caches[1]))] ^= 1
+        return caches
 
     monkeypatch.setattr(macc.verify, "baseline_place", flipped)
     rep = verify_decodability(make_baseline_runner(p, files), p.K, p.N, files)
@@ -322,7 +303,7 @@ def test_baseline_runner_sees_a_corrupted_coded_block(monkeypatch):
 
 def _keep_caches(placement, keep):
     """``placement`` with every cache outside ``keep`` emptied."""
-    return tuple(cache if c in keep else CacheContent({}, ()) for c, cache in enumerate(placement, 1))
+    return tuple(cache if c in keep else {} for c, cache in enumerate(placement, 1))
 
 
 @pytest.mark.parametrize(
@@ -335,9 +316,10 @@ def _keep_caches(placement, keep):
 )
 def test_decoders_read_only_their_users_caches(base, cfg):
     # User k decodes from its window alone; a cache missing from that window is a
-    # LookupError naming user k and a subfile of that cache (cache c holds index c).
+    # LookupError naming user k and a block of that cache: subfile index c or, lifted,
+    # one of user k's key shares placed there.
     lib = random_library(cfg.N, cfg.F, cfg.K, 61)
-    offsets = algorithm1_private_set(cfg).caches
+    offsets = tuple(sorted(algorithm1_private_set(cfg).caches))
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 61)
     placed, lifted = base.place(cfg, lib), lift_place(base, cfg, offsets, lib, keys)
     for demands in all_demand_vectors(cfg.N, cfg.K):
@@ -345,14 +327,30 @@ def test_decoders_read_only_their_users_caches(base, cfg):
         tx = lift_deliver(base, cfg, keys, lib, demands)
         for k in range(1, cfg.K + 1):
             window, want = accessible_caches(k, cfg), lib.file(demands[k - 1])
-            for decode, placement in (
-                (partial(base.decode, cfg, k, payload, demands=demands), placed),
-                (partial(lift_decode, base, cfg, k, tx, d_k=demands[k - 1]), lifted),
+            for decode, placement, t in (
+                (partial(base.decode, cfg, k, payload, demands=demands), placed, 0),
+                (partial(lift_decode, base, cfg, offsets, k, tx, d_k=demands[k - 1]), lifted, len(offsets)),
             ):
                 assert decode(_keep_caches(placement, window)) == want
                 for c in window:
-                    with pytest.raises(LookupError, match=rf"W_\{{\d+,{c}\}} not in user {k}'s caches"):
+                    alphas = [a for a in range(1, t + 1) if share_cache(offsets, k, a, cfg.K) == c]
+                    held = [rf"W_\{{\d+,{c}\}}"] + [rf"S_\{{{k},{a},\d+\}}" for a in alphas]
+                    with pytest.raises(LookupError, match=rf"({'|'.join(held)}) not in user {k}'s caches"):
                         decode(_keep_caches(placement, set(window) - {c}))
+
+
+def test_lift_decode_refuses_a_missing_key_share():
+    # Cyclic-uncoded t_p=0 caches no subfile, so cache 1 holds only key shares. With
+    # it emptied, user 1 must refuse on every key draw rather than strip half its keys.
+    base, cfg, offsets = make_scheme("cyclic-uncoded", 0), NetworkConfig(3, 2, 2, 6, 3), (1, 2)
+    lib = random_library(cfg.N, cfg.F, cfg.K, 62)
+    demands = (2, 1, 2)
+    for seed in range(8):
+        keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
+        placement = _keep_caches(lift_place(base, cfg, offsets, lib, keys), {2, 3})
+        tx = lift_deliver(base, cfg, keys, lib, demands)
+        with pytest.raises(LookupError, match=r"S_\{1,\d+,\d+\} not in user 1's caches"):
+            lift_decode(base, cfg, offsets, 1, tx, placement, demands[0])
 
 
 def test_baseline_decoder_reads_only_its_users_caches():
@@ -363,6 +361,9 @@ def test_baseline_decoder_reads_only_its_users_caches():
     for k in range(1, p.K + 1):
         window = accessible_caches(k, NetworkConfig(p.K, p.L, p.N, p.F, 1))
         assert baseline_decode(p, k, payload, _keep_caches(placement, window)) == files
+        for c in window:
+            with pytest.raises(LookupError, match=rf"C_\{{\d+,{c}\}} not in user {k}'s caches"):
+                baseline_decode(p, k, payload, _keep_caches(placement, set(window) - {c}))
 
 
 def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
@@ -383,8 +384,8 @@ def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 9)
     placement = lift_place(base, cfg, offsets, lib, keys)
     demands = (1, 2, 1, 2)
-    assert lift_decode(base, cfg, 2, real(base, cfg, keys, lib, demands), placement, 2) == lib.file(2)
-    assert lift_decode(base, cfg, 2, flipped(base, cfg, keys, lib, demands), placement, 2) != lib.file(2)
+    assert lift_decode(base, cfg, offsets, 2, real(base, cfg, keys, lib, demands), placement, 2) == lib.file(2)
+    assert lift_decode(base, cfg, offsets, 2, flipped(base, cfg, keys, lib, demands), placement, 2) != lib.file(2)
 
     monkeypatch.setattr(macc.verify, "lift_deliver", flipped)
     files = [lib.file(1), lib.file(2)]
@@ -604,10 +605,7 @@ def _reference_privacy(base, cfg, offsets):
             placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
             windows = [
                 tuple(
-                    (
-                        tuple(library.subfile(n, j).v for n, j in sorted(placement[c - 1].uncoded)),
-                        tuple((cb.label, cb.block.v) for cb in placement[c - 1].coded),
-                    )
+                    tuple(sorted(placement[c - 1].items()))
                     for c in sorted({(k + i - 1) % K + 1 for i in range(cfg.L)})
                 )
                 for k in range(1, K + 1)
@@ -667,8 +665,9 @@ def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
         for k, user_views in enumerate(views, 1):
             shares = 0
             for c in sorted(accessible_caches(k, cfg)):
-                for cb in placement[c - 1].coded:
-                    shares = (shares << b) | cb.block.v
+                for label, v in placement[c - 1].items():
+                    if label[0] == "S":
+                        shares = (shares << b) | v
             want = (shares << en.share_shift) | (q << en.pay_shift) | tx.payload.v
             assert list(user_views)[key_index] == want
 
@@ -681,7 +680,7 @@ def test_users_missing_no_subfile_need_no_key_shares():
     lib = random_library(2, 4, 4, 9)
     keys = KeyMaterial.generate(4, 1, 2, 9)
     placement = lift_place(base, cfg, (1,), lib, keys, enforce_private=False)
-    assert all(cache.coded == () for cache in placement)
+    assert all(label[0] == "W" for cache in placement for label in cache)
     for engine in ("factored", "full"):
         report = verify_privacy_exact(LiftedInstance(base, cfg, (1,)), engine=engine)
         assert report.engine == engine and report.private
