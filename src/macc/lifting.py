@@ -6,7 +6,10 @@ and stores one coded key share per missing subfile index in that slot's cache,
 under the label ``("S", k, alpha, j)``.
 Delivery masks each demand inside a coefficient column q_k and runs the base
 scheme over K virtual files, one per user. A user decodes from the broadcast
-and the caches it reaches alone.
+and the caches it reaches alone: the kernel ``lift_decode_subfiles`` peels the
+base plan of the virtual demand vector (1..K) off the block tuple, strips the
+user's key shares and returns W_{d_k} as its subfile ints; ``lift_decode``
+merges the user's window, runs the kernel and packs the file once.
 
 Coefficient vectors over files are plain ints: bit (n-1) selects file n.
 """
@@ -16,13 +19,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import xor
 from typing import Sequence
 
 from .gf2 import coeff_xor
 from .model import (
     Bits,
+    Cache,
     NetworkConfig,
     PlacementState,
     SubfileLibrary,
@@ -73,6 +77,7 @@ def lifted_memory(M: Fraction, t: int, L: int, N: int) -> Fraction:
     return Fraction(M) + t * (1 - Fraction(L) * M / N)
 
 
+@lru_cache(maxsize=256)
 def virtual_config(cfg: NetworkConfig) -> NetworkConfig:
     """The network the base scheme runs on after lifting: one virtual file per user."""
     return NetworkConfig(cfg.K, cfg.L, cfg.K, cfg.F, cfg.subfiles_per_file)
@@ -159,6 +164,31 @@ def lift_deliver(
     return LiftedTransmission(q, cfg.N, blocks, cfg.subfile_bits, rate)
 
 
+def lift_decode_subfiles(
+    base: NonPrivateScheme,
+    cfg: NetworkConfig,
+    offsets: Sequence[int],
+    k: int,
+    tx: LiftedTransmission,
+    cached: Cache,
+    d_k: int,
+) -> tuple[int, ...]:
+    """The decode kernel: W_{d_k} as its subfile ints in ``pack`` order, from the
+    transmission and user k's window ``cached`` (what ``cached_block`` returns)."""
+
+    # Virtual subfiles are computable from cached real subfiles because the
+    # round-1 placement is file symmetric.
+    def virtual(v: int, j: int) -> int:
+        return coeff_xor(tx.q_columns[v - 1], [cached["W", n, j] for n in range(1, cfg.N + 1)])
+
+    users = tuple(range(1, cfg.K + 1))
+    parts = base.decode_missing(virtual_config(cfg), k, tx.blocks, virtual, users)
+    for j in parts:
+        for alpha in range(1, len(offsets) + 1):
+            parts[j] ^= cached["S", k, alpha, j]  # strip user k's key shares off the virtual subfile
+    return tuple(parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
+
+
 def lift_decode(
     base: NonPrivateScheme,
     cfg: NetworkConfig,
@@ -174,17 +204,5 @@ def lift_decode(
     ``len(offsets)`` of its key shares off each peeled subfile, so a share missing
     from its caches is a ``LookupError`` rather than a wrong file.
     """
-    cached = cached_block(cfg, k, placement)
-
-    # Virtual subfiles are computable from cached real subfiles because the
-    # round-1 placement is file symmetric.
-    def virtual(v: int, j: int) -> int:
-        return coeff_xor(tx.q_columns[v - 1], [cached["W", n, j] for n in range(1, cfg.N + 1)])
-
-    users = tuple(range(1, cfg.K + 1))
-    parts = base.decode_missing(virtual_config(cfg), k, tx.blocks, virtual, users)
-    for j in parts:
-        for alpha in range(1, len(offsets) + 1):
-            parts[j] ^= cached["S", k, alpha, j]  # strip user k's key shares off the virtual subfile
-    subfiles = (parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
+    subfiles = lift_decode_subfiles(base, cfg, offsets, k, tx, cached_block(cfg, k, placement), d_k)
     return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))

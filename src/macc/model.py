@@ -27,8 +27,10 @@ class Bits:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"negative bit length {self.n}")
-        if not 0 <= self.v < (1 << self.n):
-            raise ValueError(f"value {self.v} does not fit in {self.n} bits")
+        if self.v < 0 or self.v.bit_length() > self.n:  # 0 <= v < 2^n, without building 2^n
+            # Named by its bit length: a wide value has too many digits to format.
+            what = "a negative value" if self.v < 0 else f"a {self.v.bit_length()}-bit value"
+            raise ValueError(f"{what} does not fit in {self.n} bits")
 
     def __xor__(self, other: "Bits") -> "Bits":
         if self.n != other.n:

@@ -13,7 +13,12 @@ Delivery, the lifted delivery and the privacy engines all call it; a payload is
 packed only where it leaves a public function or becomes a privacy view.
 Decoding peels the plan off the block tuple: a block whose only term user k
 has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
-off. A plan leaving a subfile unrecovered is a ``LookupError``. Both shipped
+off. Which block gives which subfile, and with which cached terms, is a
+schedule derived once per (configuration, demand vector, user), so a decode
+only XORs. A plan leaving a subfile unrecovered is a ``LookupError``. The
+decode kernel ``decode_subfiles`` returns W_{d_k} as its subfile ints from the
+block tuple and user k's window (what ``cached_block`` returns); ``decode``
+merges the window, runs the kernel and packs the file once. Both shipped
 schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
 accessible caches) and work for any file count N, so the lifting transform runs
 them unmodified over virtual libraries.
@@ -29,6 +34,7 @@ from typing import Sequence
 
 from .model import (
     Bits,
+    Cache,
     IntSubfile,
     NetworkConfig,
     PlacementState,
@@ -41,6 +47,8 @@ from .model import (
 )
 
 PayloadPlan = tuple[tuple[tuple[int, int], ...], ...]
+PeelStep = tuple[int, int, tuple[tuple[int, int], ...]]
+"""(payload block position, subfile index j, the block's cached (file, subfile) terms)."""
 
 
 class NonPrivateScheme(ABC):
@@ -106,39 +114,57 @@ class NonPrivateScheme(ABC):
         bits = len(blocks) * cfg.subfile_bits
         return Bits(bits, pack(blocks, cfg.subfile_bits)), Fraction(bits, cfg.F)
 
+    @lru_cache(maxsize=256)
+    def _peel(
+        self, cfg: NetworkConfig, demands: tuple[int, ...], k: int
+    ) -> tuple[int, tuple[PeelStep, ...], tuple[int, ...]]:
+        """User k's peel schedule: the plan's block count; for each subfile j of W_{d_k}
+        that user k misses, (the position of the first block whose only uncached term is
+        W_{d_k,j}, j, that block's cached terms); and the missing j no block gives."""
+        stored, missing = self._layout(cfg)[k - 1]
+        d_k, plan = demands[k - 1], self._plan(cfg, demands)
+        steps: dict[int, PeelStep] = {}
+        for pos, group in enumerate(plan):
+            unknown = [(n, j) for n, j in group if j not in stored]
+            if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in steps:
+                j = unknown[0][1]
+                steps[j] = (pos, j, tuple((n, i) for n, i in group if i in stored))
+        return len(plan), tuple(steps.values()), tuple(j for j in missing if j not in steps)
+
     def decode_missing(
         self, cfg: NetworkConfig, k: int, blocks: Sequence[int], subfile: IntSubfile, demands: tuple[int, ...]
     ) -> dict[int, int]:
         """User k's missing subfiles of W_{d_k}, peeled off the payload ``blocks`` (in plan
-        order) with its cached ``subfile(n, j)`` ints."""
-        stored, missing = self._layout(cfg)[k - 1]
-        d_k, plan = demands[k - 1], self._plan(cfg, demands)
-        if len(blocks) != len(plan):
-            raise ValueError(f"user {k} got {len(blocks)} payload blocks, the plan has {len(plan)}")
-        parts: dict[int, int] = {}
-        for block, group in zip(blocks, plan):
-            unknown = [(n, j) for n, j in group if j not in stored]
-            if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in parts:
-                parts[unknown[0][1]] = reduce(xor, [subfile(n, j) for n, j in group if j in stored], block)
-        lost = [j for j in missing if j not in parts]
+        order) with its cached ``subfile(n, j)`` ints, along the schedule ``_peel`` derives."""
+        count, steps, lost = self._peel(cfg, demands, k)
+        if len(blocks) != count:
+            raise ValueError(f"user {k} got {len(blocks)} payload blocks, the plan has {count}")
         if lost:
-            raise LookupError(f"the payload plan gives user {k} no block for subfiles {lost} of W_{d_k}")
-        return parts
+            d_k = demands[k - 1]
+            raise LookupError(f"the payload plan gives user {k} no block for subfiles {list(lost)} of W_{d_k}")
+        return {j: reduce(xor, [subfile(n, i) for n, i in terms], blocks[pos]) for pos, j, terms in steps}
+
+    def decode_subfiles(
+        self, cfg: NetworkConfig, k: int, blocks: Sequence[int], cached: Cache, demands: tuple[int, ...]
+    ) -> tuple[int, ...]:
+        """The decode kernel: W_{d_k} as its subfile ints in ``pack`` order, from the payload
+        ``blocks`` and user k's window ``cached`` (what ``cached_block`` returns)."""
+        parts = self.decode_missing(cfg, k, blocks, lambda n, j: cached["W", n, j], demands)
+        d_k = demands[k - 1]
+        return tuple(parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
 
     def decode(
         self, cfg: NetworkConfig, k: int, payload: Bits, placement: PlacementState, demands: Sequence[int]
     ) -> Bits:
         """Recover W_{d_k} from the payload and the subfiles in user k's caches."""
-        d_k, demands = demands[k - 1], tuple(demands)
+        demands = tuple(demands)
         count = len(self._plan(cfg, demands))
         if payload.n != count * cfg.subfile_bits:
             raise ValueError(
                 f"user {k} got a {payload.n}-bit payload, the plan sends {count} blocks of {cfg.subfile_bits} bits"
             )
-        cached = cached_block(cfg, k, placement)
         blocks = split(payload.v, count, cfg.subfile_bits)
-        parts = self.decode_missing(cfg, k, blocks, lambda n, j: cached["W", n, j], demands)
-        subfiles = (parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
+        subfiles = self.decode_subfiles(cfg, k, blocks, cached_block(cfg, k, placement), demands)
         return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))
 
     def place(self, cfg: NetworkConfig, library: SubfileLibrary) -> PlacementState:

@@ -1,5 +1,11 @@
 """Exact verification: decodability sweeps, demand-privacy by enumeration, attack demo.
 
+A decodability round trip does only the decoding. A runner places (and merges
+each user's window) once per placement, and returns each user's decoded file as
+a tuple of subfile ints from the schemes' decode kernels; no file is packed. The
+sweep cuts each demanded file once into as many fields as a returned tuple holds,
+and compares tuples.
+
 Privacy is checked in the conditional form: fix the library realization w and
 the user's own demand, then compare the view distribution (over uniform key
 material) across the other users' demands. Two exact engines are provided:
@@ -53,14 +59,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from itertools import chain, combinations, cycle, islice, repeat
 from operator import eq, itemgetter, or_, xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
 from .gf2 import coeff_xor
-from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place, share_cache, virtual_config
+from .lifting import KeyMaterial, lift_decode_subfiles, lift_deliver, lift_place, share_cache, virtual_config
 from .model import (
     Bits,
     NetworkConfig,
@@ -142,7 +148,9 @@ class DecodabilityReport:
         }
 
 
-Runner = Callable[[Union[int, None], tuple[int, ...]], list[Bits]]
+Runner = Callable[[Union[int, None], tuple[int, ...]], Sequence[tuple[int, ...]]]
+"""``run(seed, demands)``: each user's decoded file as a tuple of equal-width subfile
+ints in ``pack`` order, user 1 first."""
 
 
 def verify_decodability(
@@ -154,22 +162,32 @@ def verify_decodability(
 ) -> DecodabilityReport:
     """Check that every user decodes its demanded file for every demand vector.
 
-    ``run(seed, demands)`` must return the K decoded files. Refuses (never
-    samples) before the first round trip when seeds x N^K exceeds ``ROUND_TRIP_BUDGET``,
-    and raises ``ValueError`` on an empty ``seeds``, which would pass checking nothing.
+    ``run(seed, demands)`` must return the K decoded files as subfile tuples. Each is
+    compared with the demanded file cut by ``split`` into as many fields as the tuple
+    holds, so a field wider than its share of the file fails even where ``pack`` would
+    carry it into the right file. An empty tuple, or one whose length does not divide
+    the file's bits, fails too. Refuses (never samples) before the first round trip
+    when seeds x N^K exceeds ``ROUND_TRIP_BUDGET``, and raises ``ValueError`` on an
+    empty ``seeds``, which would pass checking nothing.
     """
     if not seeds:
         raise ValueError("decodability sweep needs at least one seed")
     space = len(seeds) * N**K
     if space > ROUND_TRIP_BUDGET:
         raise BudgetExceededError(space, ROUND_TRIP_BUDGET, "decodability sweep")
+    @cache
+    def want(n: int, count: int) -> Union[tuple[int, ...], None]:
+        """File n cut into ``count`` fields, or None when no such cut exists."""
+        f = files[n - 1]
+        return tuple(split(f.v, count, f.n // count)) if count and not f.n % count else None
+
     checked = 0
     for seed in seeds:
         for demands in all_demand_vectors(N, K):
             decoded = run(seed, demands)
             checked += 1
             for k in range(1, K + 1):
-                if decoded[k - 1] != files[demands[k - 1] - 1]:
+                if decoded[k - 1] != want(demands[k - 1], len(decoded[k - 1])):
                     return DecodabilityReport(False, checked, (seed, demands, k))
     return DecodabilityReport(True, checked)
 
@@ -177,14 +195,17 @@ def verify_decodability(
 def make_nonprivate_runner(
     scheme: NonPrivateScheme, cfg: NetworkConfig, library: SubfileLibrary
 ) -> Runner:
-    """Places on the first round trip, so a library that does not fit is refused there."""
-    placements: list = []
+    """Places and merges each user's window on the first round trip, so a library that
+    does not fit is refused there; each payload is cut into its blocks once for all users."""
+    windows: list = []
 
     def run(seed, demands):
-        if not placements:
-            placements.append(scheme.place(cfg, library))
+        if not windows:
+            placement = scheme.place(cfg, library)
+            windows.extend(cached_block(cfg, k, placement) for k in range(1, cfg.K + 1))
         payload, _ = scheme.deliver(cfg, library, demands)
-        return [scheme.decode(cfg, k, payload, placements[0], demands) for k in range(1, cfg.K + 1)]
+        blocks = split(payload.v, payload.n // cfg.subfile_bits, cfg.subfile_bits)
+        return [scheme.decode_subfiles(cfg, k, blocks, windows[k - 1], demands) for k in range(1, cfg.K + 1)]
 
     return run
 
@@ -193,7 +214,7 @@ def make_baseline_runner(params: BaselineParams, files: Sequence[Bits]) -> Runne
     """Placement, broadcast and each user's N decoded files are fixed, so all are made once."""
     placement = baseline_place(params, files)
     payload, _ = baseline_deliver(params, files)
-    decoded = [baseline_decode(params, k, payload, placement) for k in range(1, params.K + 1)]
+    decoded = [[(f.v,) for f in baseline_decode(params, k, payload, placement)] for k in range(1, params.K + 1)]
 
     def run(seed, demands):
         return [own[d - 1] for own, d in zip(decoded, demands)]
@@ -208,16 +229,18 @@ def make_lifted_runner(
     library: SubfileLibrary,
     enforce_private: bool = True,
 ) -> Runner:
-    placements: dict = {}
+    """Places each key seed once and merges each user's window then."""
+    placements: dict = {}  # seed -> (keys, each user's window)
 
     def run(seed, demands):
         if seed not in placements:
             keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
-            placements[seed] = (keys, lift_place(base, cfg, offsets, library, keys, enforce_private))
-        keys, placement = placements[seed]
+            placement = lift_place(base, cfg, offsets, library, keys, enforce_private)
+            placements[seed] = (keys, [cached_block(cfg, k, placement) for k in range(1, cfg.K + 1)])
+        keys, windows = placements[seed]
         tx = lift_deliver(base, cfg, keys, library, demands)
         return [
-            lift_decode(base, cfg, offsets, k, tx, placement, demands[k - 1])
+            lift_decode_subfiles(base, cfg, offsets, k, tx, windows[k - 1], demands[k - 1])
             for k in range(1, cfg.K + 1)
         ]
 

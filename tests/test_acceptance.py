@@ -228,7 +228,7 @@ def test_criterion_8_negative_controls():
             cache[share] ^= 1
             tx = lift_deliver(base, cfg, keys, lib, demands)
             return [
-                lift_decode(base, cfg, (1, 2), k, tx, tuple(bad), demands[k - 1])
+                (lift_decode(base, cfg, (1, 2), k, tx, tuple(bad), demands[k - 1]).v,)
                 for k in range(1, 4)
             ]
 

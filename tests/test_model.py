@@ -35,6 +35,15 @@ def test_bits_rejects_overflow():
         Bits(2, 4)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 64, 393_216])
+def test_bits_accepts_exactly_zero_to_two_to_the_n_minus_one(n):
+    assert Bits(n, 0).v == 0
+    assert Bits(n, (1 << n) - 1).v == (1 << n) - 1
+    for v in (1 << n, -1):
+        with pytest.raises(ValueError, match="does not fit"):
+            Bits(n, v)
+
+
 @given(st.integers(0, 6), st.integers(0, 12), st.data())
 def test_pack_split_round_trip(count, width, data):
     x = data.draw(st.integers(0, 2 ** (count * width + 3) - 1))

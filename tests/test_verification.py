@@ -10,11 +10,13 @@ from operator import eq
 import pytest
 
 import macc.lifting
+import macc.model
 import macc.schemes
 import macc.verify
 from macc import (
     BaselineInstance,
     BaselineParams,
+    Bits,
     BudgetExceededError,
     KeyMaterial,
     LiftedInstance,
@@ -37,8 +39,10 @@ from macc import (
     make_nonprivate_runner,
     make_scheme,
     mutual_information_exact,
+    pack,
     random_library,
     share_cache,
+    split,
     verify_decodability,
     verify_privacy_exact,
 )
@@ -86,12 +90,10 @@ def test_mi_accepts_mapping_and_rejects_junk():
 def test_verify_decodability_reports_failure_with_witness():
     # A runner that corrupts user 2's output for one specific demand vector.
     def run(seed, demands):
-        out = [files[d - 1] for d in demands]
+        out = [(files[d - 1].v,) for d in demands]
         if demands == (2, 1):
-            out[1] = out[1] ^ type(out[1])(out[1].n, 1)
+            out[1] = (out[1][0] ^ 1,)
         return out
-
-    from macc import Bits
 
     files = [Bits.from01("1010"), Bits.from01("0110")]
     rep = verify_decodability(run, 2, 2, files)
@@ -99,6 +101,26 @@ def test_verify_decodability_reports_failure_with_witness():
     assert rep.failure == (None, (2, 1), 2)
     d = rep.to_dict()
     assert d["failure"]["user"] == 2 and d["failure"]["demands"] == [2, 1]
+
+
+def test_verify_decodability_compares_subfile_tuples():
+    # Two files of two 4-bit subfiles; user 2's file under demands (2, 1) comes back
+    # wrong in three ways. Each is a failure with its witness, never an exception.
+    w, files = 4, [Bits.from01("1011" "0110"), Bits.from01("0111" "1001")]
+    a, b = split(files[0].v, 2, w)
+    assert a & 1
+    carried = (a ^ 1, b | 1 << w)  # the low bit of a, carried up out of an oversized b
+    assert Bits(2 * w, pack(carried, w)) == files[0]  # what comparing packed files let through
+    for wrong in (carried, (), tuple(split(files[0].v, 3, 2))):
+
+        def run(seed, demands, wrong=wrong):
+            out = [tuple(split(files[d - 1].v, 2, w)) for d in demands]
+            if demands == (2, 1):
+                out[1] = wrong
+            return out
+
+        rep = verify_decodability(run, 2, 2, files)
+        assert not rep.ok and rep.failure == (None, (2, 1), 2)
 
 
 def test_verify_decodability_refuses_oversized_sweep():
@@ -394,8 +416,8 @@ def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
 
 
 def test_lifted_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
-    # The payload travels as a block tuple: no decoder cuts a block out of a packed
-    # payload, and the only ints packed are the decoded files.
+    # The payload travels as a block tuple and each decoded file as a subfile tuple:
+    # no decoder cuts a block out of a packed payload, and the round trip packs nothing.
     cfg = NetworkConfig(4, 2, 2, 8, 4)
     base = make_scheme("cyclic-uncoded", 1)
     lib = random_library(2, 8, 4, 32)
@@ -421,7 +443,7 @@ def test_lifted_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
     rep = verify_decodability(make_lifted_runner(base, cfg, offsets, lib), cfg.K, cfg.N, files, seeds=(0,))
     assert rep.ok
     assert n_blocks not in cut
-    assert packed == [cfg.subfiles_per_file] * (cfg.K * rep.checked)
+    assert packed == []
 
 
 def test_attack_refuses_empty_seeds():
@@ -449,6 +471,63 @@ def test_nonprivate_runner_round_trip():
     run = make_nonprivate_runner(s, cfg, lib)
     rep = verify_decodability(run, 4, 2, [lib.file(1), lib.file(2)])
     assert rep.ok
+
+
+def _kernel_instances():
+    # Lifted and non-private: example1 and cyclic-uncoded at t_p 0 and 1, K <= 4.
+    yield make_scheme("example1"), NetworkConfig(3, 2, 2, 6, 3)
+    for tp in (0, 1):
+        yield make_scheme("cyclic-uncoded", tp), NetworkConfig(4, 2, 2, 8, 4)
+
+
+def test_runner_kernels_are_the_public_decoders():
+    # What a runner returns for user k, packed, is what the public decoder gives.
+    for base, cfg in _kernel_instances():
+        lib = random_library(cfg.N, cfg.F, cfg.K, 63)
+        offsets = algorithm1_private_set(cfg).caches
+        w, placement = cfg.subfile_bits, base.place(cfg, lib)
+        run = make_nonprivate_runner(base, cfg, lib)
+        for d in all_demand_vectors(cfg.N, cfg.K):
+            payload, _ = base.deliver(cfg, lib, d)
+            got = run(None, d)
+            for k in range(1, cfg.K + 1):
+                assert Bits(cfg.F, pack(got[k - 1], w)) == base.decode(cfg, k, payload, placement, d)
+        run = make_lifted_runner(base, cfg, offsets, lib)
+        for seed in (4, 5):
+            keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
+            lifted = lift_place(base, cfg, offsets, lib, keys)
+            for d in all_demand_vectors(cfg.N, cfg.K):
+                tx, got = lift_deliver(base, cfg, keys, lib, d), run(seed, d)
+                for k in range(1, cfg.K + 1):
+                    want = lift_decode(base, cfg, offsets, k, tx, lifted, d[k - 1])
+                    assert Bits(cfg.F, pack(got[k - 1], w)) == want
+    p = BaselineParams(4, 2, 3, 24, Fraction(1))
+    files = [random_library(1, p.F, 1, 40 + n).file(1) for n in range(p.N)]
+    payload, _ = baseline_deliver(p, files)
+    public = [baseline_decode(p, k, payload, baseline_place(p, files)) for k in range(1, p.K + 1)]
+    run = make_baseline_runner(p, files)
+    for d in all_demand_vectors(p.N, p.K):
+        got = run(None, d)
+        for k in range(1, p.K + 1):
+            assert Bits(p.F, pack(got[k - 1], p.F)) == public[k - 1][d[k - 1] - 1]
+
+
+def test_runners_merge_each_window_once_per_placement(monkeypatch):
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(cfg.N, cfg.F, cfg.K, 64)
+    files = [lib.file(n) for n in range(1, cfg.N + 1)]
+    merged = []
+    real = macc.model.cached_block
+    for module in (macc.model, macc.schemes, macc.lifting, macc.verify):
+        monkeypatch.setattr(module, "cached_block", lambda *a: merged.append(a[1]) or real(*a))
+    offsets = algorithm1_private_set(cfg).caches
+    rep = verify_decodability(make_lifted_runner(base, cfg, offsets, lib), cfg.K, cfg.N, files, seeds=(0, 1))
+    assert rep.ok and rep.checked == 2 * cfg.N**cfg.K
+    assert merged == [1, 2, 3, 4] * 2
+    merged.clear()
+    assert verify_decodability(make_nonprivate_runner(base, cfg, lib), cfg.K, cfg.N, files).ok
+    assert merged == [1, 2, 3, 4]
 
 
 def _cross_check_instances():
