@@ -26,12 +26,17 @@ class BaselineParams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", Fraction(self.M))
-        NetworkConfig(self.K, self.L, self.N, self.F, 1)  # validates K, L, N and F
+        self.cfg  # validates K, L, N and F
         if not 0 <= self.M <= Fraction(self.N, self.L):
             raise ValueError(f"M={self.M} outside [0, N/L] = [0, {Fraction(self.N, self.L)}]")
         part = self.M * self.F / self.N
         if part.denominator != 1:
             raise ValueError(f"M*F/N = {part} is not an integer; adjust F")
+
+    @cached_property
+    def cfg(self) -> NetworkConfig:
+        """The network, with each file one subfile."""
+        return NetworkConfig(self.K, self.L, self.N, self.F, 1)
 
     @cached_property
     def part_bits(self) -> int:
@@ -89,8 +94,7 @@ def baseline_decode(
             f"user {k} got a {payload.n}-bit payload, the broadcast sends"
             f" {params.N} remainders of {params.broadcast_bits} bits"
         )
-    air = build_air(params.K, params.L)
-    cfg = NetworkConfig(params.K, params.L, params.N, params.F, 1)
+    air, cfg = build_air(params.K, params.L), params.cfg
     cached, window = cached_block(cfg, k, placement), accessible_caches(k, cfg)
     remainders = split(payload.v, params.N, params.broadcast_bits)
     out = []

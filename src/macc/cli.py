@@ -102,7 +102,7 @@ def _emit(report: dict, output: Union[str, None]) -> None:
 
 def cmd_verify(args) -> int:
     report: dict = {"scheme": args.scheme}
-    seeds = [args.seed + i for i in range(3)]
+    seeds = [None]
 
     if args.scheme == "baseline-private":
         M = parse_fraction(args.M)
@@ -110,42 +110,35 @@ def cmd_verify(args) -> int:
         with _from_flags():
             params = BaselineParams(args.K, args.L, args.N, F, M)
         files = [random_library(1, F, 1, args.seed + n).file(1) for n in range(args.N)]
-        run = make_baseline_runner(params, files)
-        priv = verify_privacy_exact(BaselineInstance(params), budget=args.budget)
-        dec = verify_decodability(run, args.K, args.N, files)
-        report["decodability"] = dec.to_dict()
-        report["privacy"] = priv.to_dict()
-        ok = dec.ok and priv.private
+        instance, run = BaselineInstance(params), make_baseline_runner(params, files)
     elif args.scheme.startswith("lifted:"):
         with _from_flags():
             base, cfg = _base_scheme(args, args.scheme.split(":", 1)[1])
             offsets, valid = private_set_offsets(args.private_set, cfg)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, args.seed)
+        files = [library.file(n) for n in range(1, cfg.N + 1)]
+        instance = LiftedInstance(base, cfg, offsets)
         run = make_lifted_runner(base, cfg, offsets, library, enforce_private=valid)
-        priv = verify_privacy_exact(LiftedInstance(base, cfg, offsets), budget=args.budget)
-        dec = verify_decodability(run, cfg.K, cfg.N, [library.file(n) for n in range(1, cfg.N + 1)], seeds=seeds)
+        seeds = [args.seed + i for i in range(3)]
         report["private_set"] = list(offsets)
-        report["decodability"] = dec.to_dict()
-        report["privacy"] = priv.to_dict()
-        ok = dec.ok and priv.private
     else:
         with _from_flags():
             base, cfg = _base_scheme(args, args.scheme)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, args.seed)
-        run = make_nonprivate_runner(base, cfg, library)
-        if args.expect_leak:
-            privacy = verify_privacy_exact(NonPrivateInstance(base, cfg), budget=args.budget).to_dict()
-        else:
-            privacy = {"skipped": "non-private scheme; rerun with --expect-leak to check"}
-        dec = verify_decodability(run, cfg.K, cfg.N, [library.file(n) for n in range(1, cfg.N + 1)])
-        report["decodability"] = dec.to_dict()
-        report["privacy"] = privacy
-        ok = dec.ok
+        files = [library.file(n) for n in range(1, cfg.N + 1)]
+        instance, run = NonPrivateInstance(base, cfg), make_nonprivate_runner(base, cfg, library)
 
-    if args.expect_leak and "users" in report.get("privacy", {}):
-        ok = dec.ok and not report["privacy"]["private"]
+    skipped = isinstance(instance, NonPrivateInstance) and not args.expect_leak
+    if skipped:
+        privacy = {"skipped": "non-private scheme; rerun with --expect-leak to check"}
+    else:
+        priv = verify_privacy_exact(instance, budget=args.budget)
+        privacy = priv.to_dict()
+    dec = verify_decodability(run, instance.cfg.K, instance.cfg.N, files, seeds=seeds)
+    report["decodability"] = dec.to_dict()
+    report["privacy"] = privacy
     _emit(report, args.output)
-    return 0 if ok else 1
+    return 0 if dec.ok and (skipped or priv.private != bool(args.expect_leak)) else 1
 
 
 def cmd_tradeoff(args) -> int:

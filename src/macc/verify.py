@@ -15,8 +15,8 @@ material) across the other users' demands. Two exact engines are provided:
   so the varying part of a view factorizes across users; each factor is
   enumerated exhaustively on its own. A factor sees the library only through
   the subfile columns its key shares name, so it is computed once per distinct
-  content of those columns and reused across libraries. Used when the full
-  state space exceeds the budget.
+  content of those columns and reused across libraries. Used for a lifted
+  scheme when the full state space exceeds the budget.
 
 Both engines decide the identical condition; their agreement is itself tested.
 Each engine refuses before it enumerates when its state count exceeds the budget.
@@ -31,14 +31,15 @@ content that no key touches (its subfiles, the baseline's AIR blocks) is
 fixed within a (library, user) cell, so it is left out of the view; that moves
 no histogram and no MI.
 
-Every enumerable exposes ``lib_ctx(lib)``, the per-library tables, and
-``demand_views(ctx, d)``, which gives for each user an iterable of that user's
-views over all key draws (one view for the keyless schemes). The full engine
-tallies each iterable as it is made (a ``Counter`` over the key draws, or the
-lone view), so the per-state work runs in C. It then decides a library with one
-comparison when no demand vector moves any user's histogram, and only a library
-where some histogram moves is split into (user, own demand) cells. A lifted
-view is one int at fixed field widths::
+Every instance exposes ``cfg``, ``key_bits``, ``lib_ctx``, ``demand_views``, and
+the engines read the instance itself. ``lib_ctx(lib)`` gives the per-library
+tables and ``demand_views(ctx, d)`` gives for each user an iterable of that
+user's views over all key draws (one view for the keyless schemes). The full
+engine tallies each iterable as it is made (a ``Counter`` over the key draws,
+or the lone view), so the per-state work runs in C. It then decides a library
+with one comparison when no demand vector moves any user's histogram, and only
+a library where some histogram moves is split into (user, own demand) cells. A
+lifted view is one int at fixed field widths::
 
     (share blocks << share_shift) | (packed Q << pay_shift) | payload
 
@@ -48,7 +49,7 @@ payload is the plan's blocks in order, packed here because a view is one int.
 The broadcast depends on keys and demands only through ``Q = r XOR e_d``, so
 per library the engine tabulates ``(Q << pay_shift) | payload`` once for every
 packed Q and reads it through the per-key column of packed ``r``. The key
-columns are built once per full-engine run, from ``KeyMaterial.from_int``;
+columns are built once per instance, from ``KeyMaterial.from_int``;
 every field is cut and joined by the layout kernels of ``model`` (``pack``,
 ``split``).
 """
@@ -97,16 +98,12 @@ class BudgetExceededError(Exception):
 # Exact mutual information
 
 
-def mutual_information_exact(
-    counts: Union[Mapping[tuple, int], Sequence[Sequence[int]]]
-) -> Union[Fraction, float]:
-    """I(A;B) in bits from a joint count table.
+def mutual_information_exact(counts: Mapping[tuple, int]) -> Union[Fraction, float]:
+    """I(A;B) in bits from a joint count table ``{(a, b): count}``.
 
     Returns the exact rational 0 when the joint factorizes; otherwise a float.
     Nonzero MI is irrational in general, so only the zero case is exact.
     """
-    if not isinstance(counts, Mapping):
-        counts = {(a, b): c for a, row in enumerate(counts) for b, c in enumerate(row)}
     if any(c < 0 for c in counts.values()):
         raise ValueError("negative count")
     total = sum(counts.values())
@@ -248,25 +245,7 @@ def make_lifted_runner(
 
 
 # --------------------------------------------------------------------------
-# Privacy instances
-
-
-@dataclass(frozen=True)
-class LiftedInstance:
-    base: NonPrivateScheme
-    cfg: NetworkConfig
-    offsets: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BaselineInstance:
-    params: BaselineParams
-
-
-@dataclass(frozen=True)
-class NonPrivateInstance:
-    scheme: NonPrivateScheme
-    cfg: NetworkConfig
+# Privacy reports
 
 
 @dataclass
@@ -305,70 +284,93 @@ class PrivacyReport:
 
 
 # --------------------------------------------------------------------------
-# Enumerable wrappers: ``lib_ctx`` maps a library index to per-library tables;
+# Privacy instances: ``lib_ctx`` maps a library index to per-library tables;
 # ``demand_views(ctx, d)`` gives, per user, that user's views over every key
 # draw. A view leaves out the user's cached content that no key touches, which
 # is fixed within a (library, user) cell and so moves no histogram and no MI.
 
 
-class _SchemeEnum:
+def _subfiles(cfg: NetworkConfig, lib: int) -> list[list[int]]:
+    """``files[n-1][j-1]``: subfile W_{n,j} of library ``lib`` as an int."""
+    return [split(f, cfg.subfiles_per_file, cfg.subfile_bits) for f in split(lib, cfg.N, cfg.F)]
+
+
+@dataclass(frozen=True)
+class NonPrivateInstance:
     """A non-private scheme: its own payload kernel, no keys."""
 
+    scheme: NonPrivateScheme
+    cfg: NetworkConfig
     key_bits = 0
 
-    def __init__(self, inst: NonPrivateInstance):
-        inst.scheme.validate(inst.cfg)
-        self.scheme = inst.scheme
-        self._network(inst.cfg)
-
-    def _network(self, cfg: NetworkConfig) -> None:
-        self.cfg, self.N, self.K = cfg, cfg.N, cfg.K
-        self.lib_bits = cfg.N * cfg.F
+    def __post_init__(self) -> None:
+        self.scheme.validate(self.cfg)
 
     def lib_ctx(self, lib: int) -> list[list[int]]:
-        """``files[n-1][j-1]``: subfile W_{n,j} of library ``lib`` as an int."""
-        cfg = self.cfg
-        return [split(f, cfg.subfiles_per_file, cfg.subfile_bits) for f in split(lib, cfg.N, cfg.F)]
+        return _subfiles(self.cfg, lib)
 
     def demand_views(self, files: list[list[int]], demands: tuple[int, ...]):
         blocks = self.scheme.blocks(self.cfg, demands, lambda n, j: files[n - 1][j - 1])
-        return [(pack(blocks, self.cfg.subfile_bits),)] * self.K
+        return [(pack(blocks, self.cfg.subfile_bits),)] * self.cfg.K
 
 
-class _LiftedEnum(_SchemeEnum):
+@dataclass(frozen=True)
+class LiftedInstance:
     """A lifted scheme: the layout of ``lift_place``, the base payload over virtual files.
 
     A view is the int ``(shares << share_shift) | (Q << pay_shift) | payload``:
     the user's key-share blocks in view order, the packed Q (column 1 in the
     top N bits) and the payload blocks in plan order, each field at a fixed
     width. The payload depends on the keys and demands only through Q, so per
-    library it is one table entry per packed Q.
+    library it is one table entry per packed Q. The layout comes from one
+    ``lift_place`` and one ``lift_deliver`` on the zero library, run on first use.
     """
 
-    def __init__(self, inst: LiftedInstance):
-        cfg = inst.cfg
-        self._network(cfg)
-        self.scheme = inst.base
-        self.t = len(inst.offsets)
-        self.key_bits = self.K * self.t * self.N
-        zero_library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0)
-        zero_keys = KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0)
-        placement = lift_place(inst.base, cfg, inst.offsets, zero_library, zero_keys, enforce_private=False)
-        # Key-share labels (owner, alpha, j) in each user's caches: caches ascending, then by
-        # label, the order in which ``lift_place`` inserts them.
-        windows = [sorted(accessible_caches(k, cfg)) for k in range(1, self.K + 1)]
-        self.shares = [tuple(lb[1:] for c in w for lb in placement[c - 1] if lb[0] == "S") for w in windows]
-        zero_tx = lift_deliver(inst.base, cfg, zero_keys, zero_library, (1,) * self.K)
-        self.pay_shift = len(zero_tx.blocks) * cfg.subfile_bits
-        self.share_shift = self.pay_shift + self.K * self.N
+    base: NonPrivateScheme
+    cfg: NetworkConfig
+    offsets: tuple[int, ...]
+
+    @property
+    def t(self) -> int:
+        return len(self.offsets)
+
+    @property
+    def key_bits(self) -> int:
+        return self.cfg.K * self.t * self.cfg.N
+
+    def _zero(self) -> tuple[SubfileLibrary, KeyMaterial]:
+        cfg = self.cfg
+        return (
+            library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0),
+            KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0),
+        )
+
+    @cached_property
+    def shares(self) -> list[tuple[tuple[int, int, int], ...]]:
+        """Key-share labels (owner, alpha, j) in each user's caches: caches ascending, then by
+        label, the order in which ``lift_place`` inserts them."""
+        cfg, (library, keys) = self.cfg, self._zero()
+        placement = lift_place(self.base, cfg, self.offsets, library, keys, enforce_private=False)
+        windows = [sorted(accessible_caches(k, cfg)) for k in range(1, cfg.K + 1)]
+        return [tuple(lb[1:] for c in w for lb in placement[c - 1] if lb[0] == "S") for w in windows]
+
+    @cached_property
+    def pay_shift(self) -> int:
+        library, keys = self._zero()
+        zero_tx = lift_deliver(self.base, self.cfg, keys, library, (1,) * self.cfg.K)
+        return len(zero_tx.blocks) * self.cfg.subfile_bits
+
+    @property
+    def share_shift(self) -> int:
+        return self.pay_shift + self.cfg.K * self.cfg.N
 
     def columns(self, lib: int) -> list[tuple[int, ...]]:
         """``columns[j-1]``: the j-th subfiles W_{1,j}, ..., W_{N,j} of library ``lib``."""
-        return list(zip(*super().lib_ctx(lib)))
+        return list(zip(*_subfiles(self.cfg, lib)))
 
     def coeff_table(self, column: Sequence[int]) -> list[int]:
         """``xors[coeff]``: the XOR of the column's subfiles the coefficient mask selects."""
-        return [coeff_xor(coeff, column) for coeff in range(1 << self.N)]
+        return [coeff_xor(coeff, column) for coeff in range(1 << self.cfg.N)]
 
     @cached_property
     def _key_columns(self) -> tuple[list[list[list[int]]], list[int]]:
@@ -377,7 +379,7 @@ class _LiftedEnum(_SchemeEnum):
         Built on first use, by the full engine only: the other callers run at
         key counts no column could hold.
         """
-        K, t, N = self.K, self.t, self.N
+        K, t, N = self.cfg.K, self.t, self.cfg.N
         pcol: list[list[list[int]]] = [[[] for _ in range(t)] for _ in range(K)]
         rcol = []
         for x in range(1 << self.key_bits):
@@ -390,13 +392,14 @@ class _LiftedEnum(_SchemeEnum):
 
     def lib_ctx(self, lib: int):
         """The view base for every packed Q, and each user's shifted share column."""
+        cfg, pay_shift, share_shift = self.cfg, self.pay_shift, self.share_shift
         xors = list(map(self.coeff_table, self.columns(lib)))
-        vcfg, users = virtual_config(self.cfg), tuple(range(1, self.K + 1))
+        vcfg, users = virtual_config(cfg), tuple(range(1, cfg.K + 1))
         table = []
-        for q_packed in range(1 << (self.K * self.N)):
-            q = split(q_packed, self.K, self.N)
-            blocks = self.scheme.blocks(vcfg, users, lambda v, j: xors[j - 1][q[v - 1]])
-            table.append((q_packed << self.pay_shift) | pack(blocks, self.cfg.subfile_bits))
+        for q_packed in range(1 << (cfg.K * cfg.N)):
+            q = split(q_packed, cfg.K, cfg.N)
+            blocks = self.base.blocks(vcfg, users, lambda v, j: xors[j - 1][q[v - 1]])
+            table.append((q_packed << pay_shift) | pack(blocks, cfg.subfile_bits))
         pcol, _ = self._key_columns
         share_cols = []
         for labels in self.shares:
@@ -404,7 +407,7 @@ class _LiftedEnum(_SchemeEnum):
             for pos, (i, a, j) in enumerate(labels):
                 # Every value of the block, packed into its slot of the share field.
                 fill = [0] * (len(labels) - 1 - pos)
-                slot = [pack([v, *fill], self.cfg.subfile_bits) << self.share_shift for v in xors[j - 1]]
+                slot = [pack([v, *fill], cfg.subfile_bits) << share_shift for v in xors[j - 1]]
                 block = map(slot.__getitem__, pcol[i - 1][a - 1])
                 col = list(block) if col is None else list(map(or_, col, block))
             share_cols.append(col)
@@ -413,45 +416,35 @@ class _LiftedEnum(_SchemeEnum):
     def demand_views(self, ctx, demands: tuple[int, ...]):
         table, share_cols = ctx
         _, rcol = self._key_columns
-        e_d = pack((1 << (d - 1) for d in demands), self.N)
+        e_d = pack((1 << (d - 1) for d in demands), self.cfg.N)
         bases = list(map(table.__getitem__, map(xor, rcol, repeat(e_d))))
         return [map(or_, col, bases) if col else bases for col in share_cols]
 
 
-class _BaselineEnum:
+@dataclass(frozen=True)
+class BaselineInstance:
     """The baseline: the broadcast alone, the same for every user and demand."""
 
+    params: BaselineParams
     key_bits = 0
 
-    def __init__(self, inst: BaselineInstance):
-        p = inst.params
-        self.params = p
-        self.N, self.K = p.N, p.K
-        self.lib_bits = p.N * p.F
+    @property
+    def cfg(self) -> NetworkConfig:
+        return self.params.cfg
 
     def lib_ctx(self, lib: int):
-        payload = baseline_broadcast(self.params, split(lib, self.N, self.params.F))
-        return [(payload,)] * self.K
+        p = self.params
+        return [(baseline_broadcast(p, split(lib, p.N, p.F)),)] * p.K
 
     def demand_views(self, ctx, demands):
         return ctx  # demand-independent by construction
-
-
-def _make_enum(instance):
-    if isinstance(instance, LiftedInstance):
-        return _LiftedEnum(instance)
-    if isinstance(instance, NonPrivateInstance):
-        return _SchemeEnum(instance)
-    if isinstance(instance, BaselineInstance):
-        return _BaselineEnum(instance)
-    raise TypeError(f"unsupported instance {instance!r}")
 
 
 # --------------------------------------------------------------------------
 # Privacy engines
 
 
-def _full_engine(en, budget: int) -> PrivacyReport:
+def _full_engine(inst, budget: int) -> PrivacyReport:
     """Exact privacy check over every (library, key draw, demand vector) state.
 
     Per library, each demand vector's views are made and tallied at once into
@@ -463,8 +456,8 @@ def _full_engine(en, budget: int) -> PrivacyReport:
     all equal, and otherwise adds its MI and, the first time, a witness. Both
     tests run in C, and a keyed histogram is compared only through ``dict.__eq__``.
     """
-    N, K = en.N, en.K
-    states = (1 << en.lib_bits) * (1 << en.key_bits) * N**K
+    N, K, lib_bits = inst.cfg.N, inst.cfg.K, inst.cfg.N * inst.cfg.F
+    states = (1 << lib_bits) * (1 << inst.key_bits) * N**K
     if states > budget:
         raise BudgetExceededError(states, budget, "full privacy enumeration")
     demand_list = list(all_demand_vectors(N, K))
@@ -478,7 +471,7 @@ def _full_engine(en, budget: int) -> PrivacyReport:
         for di, d in enumerate(demand_list):
             groups.setdefault(d[k0], []).append(di)
         by_dk.append([(d_k, idxs, itemgetter(*idxs)) for d_k, idxs in groups.items()])
-    if en.key_bits:
+    if inst.key_bits:
         # Counters hold no zero counts, so plain dict equality is exact, and it runs
         # in C. Rows are compared histogram by histogram through it: comparing
         # lists of Counters would run the pure-Python ``Counter.__eq__``.
@@ -489,7 +482,7 @@ def _full_engine(en, budget: int) -> PrivacyReport:
 
     else:
         # One key draw: a user's histogram is its lone view, the 1-tuple the
-        # enumerable gives, so the list of them for a demand vector is its row.
+        # instance gives, so the list of them for a demand vector is its row.
         tally, same = None, eq
 
         def uniform(rows):
@@ -497,11 +490,11 @@ def _full_engine(en, budget: int) -> PrivacyReport:
 
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
-    n_cells = (1 << en.lib_bits) * N
+    n_cells = (1 << lib_bits) * N
     rows: list = []  # rows[di]: the K histograms under demand vector di
-    for lib in range(1 << en.lib_bits):
-        ctx = en.lib_ctx(lib)
-        views = map(en.demand_views, repeat(ctx), demand_list)
+    for lib in range(1 << lib_bits):
+        ctx = inst.lib_ctx(lib)
+        views = map(inst.demand_views, repeat(ctx), demand_list)
         # Each demand's views are tallied as soon as they are made, so one demand's
         # views are held at a time. Emptying the list before refilling it keeps the
         # last library's rows from being held next to this one's.
@@ -543,7 +536,7 @@ def _find_witness(cell, lib, d_k):
     return None
 
 
-def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
+def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
     """Exact privacy check exploiting per-user key independence.
 
     Given (w, d), the demand-dependent part of user k's view factorizes across
@@ -560,8 +553,8 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
     loop keeps its order, so each MI sum adds the same floats in the same order
     and each witness names the first leaking library.
     """
-    N, K, t = en.N, en.K, en.t
-    n_libs = 1 << en.lib_bits
+    N, K, t = inst.cfg.N, inst.cfg.K, inst.t
+    n_libs = 1 << (N * inst.cfg.F)
     per_user_keys = 1 << (t * N)
     states = n_libs * K * (K - 1) * per_user_keys * N
     if states > budget:
@@ -572,22 +565,22 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
         p = split(x, t, N)
         draws.append((p, reduce(xor, p, 0)))
     # seen[k0-1][i-1]: the (alpha, j) of user i's key shares in user k0's caches.
-    seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in en.shares]
+    seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in inst.shares]
     cells = [(k0, i, seen[k0 - 1][i - 1]) for k0 in range(1, K + 1) for i in range(1, K + 1) if i != k0]
     distinct = {labels for _, _, labels in cells}
-    width = en.cfg.subfile_bits
+    width = inst.cfg.subfile_bits
     memo: dict = {}  # (labels, packed visible columns) -> the factor's MI
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     for lib in range(n_libs):
-        columns = en.columns(lib)
+        columns = inst.columns(lib)
         packed = [pack(column, width) for column in columns]
         leaks = {}  # labels -> the factor's nonzero MI at this library
         for labels in distinct:
             key = (labels, pack((packed[j - 1] for _, j in labels), N * width))
             mi_cell = memo.get(key)
             if mi_cell is None:
-                xors = {j: en.coeff_table(columns[j - 1]) for _, j in labels}
+                xors = {j: inst.coeff_table(columns[j - 1]) for _, j in labels}
                 joint: dict = {}
                 for p, r in draws:
                     blocks = tuple(xors[j][p[a - 1]] for a, j in labels)
@@ -619,25 +612,25 @@ def _factored_engine(en: _LiftedEnum, budget: int) -> PrivacyReport:
 def verify_privacy_exact(instance, budget: int = PRIVACY_BUDGET, engine: str = "auto") -> PrivacyReport:
     """Demand-privacy verdict with exact MI, by exhaustive enumeration.
 
-    ``engine``: "full", "factored" (lifted schemes only), or "auto" (full when
-    the state count fits the budget, else factored when available, else refuse).
+    ``engine``: "full", "factored" (lifted schemes only), or "auto" (full, unless
+    it refuses the budget; then factored for a lifted scheme, else the refusal).
     Every engine refuses before enumerating when its state count exceeds the budget.
     """
-    en = _make_enum(instance)
-    if engine == "full":
-        return _full_engine(en, budget)
+    if not isinstance(instance, (NonPrivateInstance, LiftedInstance, BaselineInstance)):
+        raise TypeError(f"unsupported instance {instance!r}")
+    lifted = isinstance(instance, LiftedInstance)
     if engine == "factored":
-        if not isinstance(en, _LiftedEnum):
+        if not lifted:
             raise ValueError("factored engine applies to lifted schemes only")
-        return _factored_engine(en, budget)
-    if engine != "auto":
+        return _factored_engine(instance, budget)
+    if engine not in ("full", "auto"):
         raise ValueError(f"unknown engine {engine!r}")
-    states = (1 << en.lib_bits) * (1 << en.key_bits) * en.N**en.K
-    if states <= budget:
-        return _full_engine(en, budget)
-    if isinstance(en, _LiftedEnum):
-        return _factored_engine(en, budget)
-    raise BudgetExceededError(states, budget, "full privacy enumeration")
+    try:
+        return _full_engine(instance, budget)
+    except BudgetExceededError:
+        if engine == "full" or not lifted:
+            raise
+    return _factored_engine(instance, budget)
 
 
 # --------------------------------------------------------------------------

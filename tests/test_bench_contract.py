@@ -1,0 +1,53 @@
+"""The benchmark's contract with the package: cheap benchmark operations, run as the benchmark runs them.
+
+The benchmark looks up ``macc`` names and signatures at call time, so a refactor
+that breaks one would otherwise surface only as failed benchmark runs. Each
+operation here goes through ``bench/workloads.py`` and its ``check`` against
+``bench/expected.json``; nothing under ``bench/`` is written.
+"""
+
+import sys
+import types
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@cache
+def workloads():
+    """``bench/workloads.py`` as a module, executed from its source so no bytecode is written."""
+    path = BENCH / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module  # its dataclasses look their module up there
+    exec(compile(path.read_text(), path, "exec"), vars(module))
+    return module
+
+
+@cache
+def ops(workload: str) -> dict:
+    return {op.id: op for op in workloads().WORKLOADS[workload](7)}
+
+
+# (workload, operation id, the privacy engine it must run or None)
+CHEAP_OPS = [
+    ("verify-keyless", "keyless/example1-N2-leak", "full"),
+    ("privacy-sweep", "sweep/K3-L1-tp1-off1", "full"),
+    ("privacy-sweep", "sweep/K3-L2-tp1-off1", "full"),
+    ("privacy-sweep", "sweep/K4-L3-tp1-off1,3", "factored"),
+    ("simulate", "sim/lifted-example1-N4", None),
+    ("simulate", "sim/baseline-K7-L3-N3-M1/2", None),
+    ("simulate", "sim/nonprivate-cu-K7-L3-N3-tp2", None),
+    ("simulate", "sim/attack-naive-K4-L3-N3", None),
+]
+
+
+@pytest.mark.parametrize("workload, op_id, engine", CHEAP_OPS, ids=[op_id for _, op_id, _ in CHEAP_OPS])
+def test_benchmark_op_passes_its_check(workload, op_id, engine):
+    bench = workloads()
+    obs = ops(workload)[op_id].run()
+    assert bench.check(bench.load_expected()[op_id], obs) == []
+    assert obs.get("engine") == engine

@@ -262,3 +262,18 @@ def test_readme_commands_parse():
     assert len(commands) >= 7
     for argv in commands:
         assert build_parser().parse_args(argv).command == argv[0]
+
+
+GOLDEN_VERIFY = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
+
+
+@pytest.mark.parametrize("golden", GOLDEN_VERIFY, ids=[g["command"] for g in GOLDEN_VERIFY])
+def test_verify_report_is_pinned(golden, capsys):
+    # One command per path through ``cmd_verify``: baseline, lifted through the full
+    # engine, lifted through the factored engine (LEAK, exit 1), a non-private leak
+    # checked on request, and a non-private scheme whose privacy check is skipped.
+    # The reports were recorded before each scheme kind became one class; a refactor
+    # of ``cmd_verify`` or of the instances must keep them byte for byte.
+    rc = main(golden["command"].split())
+    captured = capsys.readouterr()
+    assert (rc, captured.out, captured.err) == (golden["exit"], golden["stdout"], "")

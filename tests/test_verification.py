@@ -47,36 +47,38 @@ from macc import (
     verify_privacy_exact,
 )
 from macc.lifting import virtual_config
-from macc.verify import PrivacyReport, UserPrivacyVerdict, _BaselineEnum, _LiftedEnum, _make_enum
+from macc.verify import PrivacyReport, UserPrivacyVerdict
+
+
+def as_joint(rows):
+    """The ``{(a, b): count}`` mapping of a joint count table given row by row."""
+    return {(a, b): c for a, row in enumerate(rows) for b, c in enumerate(row)}
 
 
 def mi_direct(counts):
     """Independent oracle: plain summation over the normalized joint."""
-    total = sum(sum(row) for row in counts)
-    ra = [sum(row) for row in counts]
-    cb = [sum(row[b] for row in counts) for b in range(len(counts[0]))]
-    out = 0.0
-    for a, row in enumerate(counts):
-        for b, c in enumerate(row):
-            if c:
-                out += (c / total) * math.log2(c * total / (ra[a] * cb[b]))
-    return out
+    total = sum(counts.values())
+    ra, cb = Counter(), Counter()
+    for (a, b), c in counts.items():
+        ra[a] += c
+        cb[b] += c
+    return sum((c / total) * math.log2(c * total / (ra[a] * cb[b])) for (a, b), c in counts.items() if c)
 
 
 def test_mi_zero_is_exact_rational():
-    val = mutual_information_exact([[1, 1], [1, 1]])
+    val = mutual_information_exact(as_joint([[1, 1], [1, 1]]))
     assert val == 0 and isinstance(val, Fraction)
-    val = mutual_information_exact([[2, 4], [1, 2]])  # rank-one table
+    val = mutual_information_exact(as_joint([[2, 4], [1, 2]]))  # rank-one table
     assert val == 0 and isinstance(val, Fraction)
 
 
 def test_mi_positive_matches_direct_sum():
-    counts = [[2, 1], [1, 2]]
+    counts = as_joint([[2, 1], [1, 2]])
     got = mutual_information_exact(counts)
     assert isinstance(got, float)
     assert got == pytest.approx(mi_direct(counts), abs=1e-12)
     # Perfectly correlated bit: exactly 1 bit up to float error.
-    assert mutual_information_exact([[3, 0], [0, 3]]) == pytest.approx(1.0)
+    assert mutual_information_exact(as_joint([[3, 0], [0, 3]])) == pytest.approx(1.0)
 
 
 def test_mi_accepts_mapping_and_rejects_junk():
@@ -84,7 +86,7 @@ def test_mi_accepts_mapping_and_rejects_junk():
     with pytest.raises(ValueError):
         mutual_information_exact({})
     with pytest.raises(ValueError):
-        mutual_information_exact([[1, -1]])
+        mutual_information_exact({(0, 0): 1, (0, 1): -1})
 
 
 def test_verify_decodability_reports_failure_with_witness():
@@ -571,9 +573,9 @@ def test_nonprivate_mi_values(scheme, cfg, mi):
 def _per_library_factored(inst):
     """The factored engine without its memo: every (viewer, other user) factor is
     rebuilt from the library's ``coeff_xor`` tables and scored at every library."""
-    en = _LiftedEnum(inst)
-    cfg, K, N, t = inst.cfg, en.K, en.N, en.t
-    n_libs = 1 << en.lib_bits
+    cfg, t = inst.cfg, inst.t
+    K, N = cfg.K, cfg.N
+    n_libs = 1 << (N * cfg.F)
     draws = []
     for x in range(1 << (t * N)):
         p = [(x >> (N * (t - 1 - a))) & ((1 << N) - 1) for a in range(t)]
@@ -581,7 +583,7 @@ def _per_library_factored(inst):
         for v in p:
             r ^= v
         draws.append((p, r))
-    seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in en.shares]
+    seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in inst.shares]
     mi_sum = [Fraction(0)] * K
     witness = [None] * K
     for lib in range(n_libs):
@@ -726,11 +728,11 @@ def test_full_engine_matches_lifting_code_reference(L, private):
 def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
     """Every field of the full engine's view int, payload and Q included, is read off
     ``lift_place``/``lift_deliver``: verdicts alone cannot see a field the others determine."""
-    en = _LiftedEnum(LiftedInstance(base, cfg, offsets))
+    en = LiftedInstance(base, cfg, offsets)
     K, N, b = cfg.K, cfg.N, cfg.subfile_bits
     rng = random.Random(6)
     for _ in range(8):
-        lib_index = rng.randrange(1 << en.lib_bits)
+        lib_index = rng.randrange(1 << (N * cfg.F))
         key_index = rng.randrange(1 << en.key_bits)
         demands = tuple(rng.randint(1, N) for _ in range(K))
         library = library_from_int(N, cfg.subfiles_per_file, b, lib_index)
@@ -771,8 +773,8 @@ def test_users_missing_no_subfile_need_no_key_shares():
 def _per_state_full_engine(en):
     """The full engine as a per-cell loop: every (user, own demand) cell of every
     library is compared histogram by histogram, with no library-level test."""
-    N, K = en.N, en.K
-    states = (1 << en.lib_bits) * (1 << en.key_bits) * N**K
+    N, K, lib_bits = en.cfg.N, en.cfg.K, en.cfg.N * en.cfg.F
+    states = (1 << lib_bits) * (1 << en.key_bits) * N**K
     demand_list = list(all_demand_vectors(N, K))
     rest = [[d[:k] + d[k + 1 :] for d in demand_list] for k in range(K)]
     by_dk = []
@@ -784,8 +786,8 @@ def _per_state_full_engine(en):
     tally, same = (Counter, dict.__eq__) if en.key_bits else (tuple, eq)
     mi_sum = [Fraction(0)] * K
     witness = [None] * K
-    n_cells = (1 << en.lib_bits) * N
-    for lib in range(1 << en.lib_bits):
+    n_cells = (1 << lib_bits) * N
+    for lib in range(1 << lib_bits):
         ctx = en.lib_ctx(lib)
         hists = [[] for _ in range(K)]
         for d in demand_list:
@@ -847,14 +849,14 @@ def test_full_engine_matches_per_state_loop(inst, private):
     # The zero library of a non-private scheme is demand-invariant while the others
     # leak, so these reports go through both the library-level and the per-cell test.
     report = verify_privacy_exact(inst, engine="full")
-    assert repr(report) == repr(_per_state_full_engine(_make_enum(inst)))
+    assert repr(report) == repr(_per_state_full_engine(inst))
     assert report.private == private
 
 
 def test_full_engine_makes_every_library_and_demand_view(monkeypatch):
     calls = Counter()
     libs = []
-    real_ctx, real_views = _BaselineEnum.lib_ctx, _BaselineEnum.demand_views
+    real_ctx, real_views = BaselineInstance.lib_ctx, BaselineInstance.demand_views
 
     def lib_ctx(self, lib):
         calls["lib_ctx"] += 1
@@ -865,11 +867,42 @@ def test_full_engine_makes_every_library_and_demand_view(monkeypatch):
         calls["demand_views"] += 1
         return real_views(self, ctx, demands)
 
-    monkeypatch.setattr(_BaselineEnum, "lib_ctx", lib_ctx)
-    monkeypatch.setattr(_BaselineEnum, "demand_views", demand_views)
+    monkeypatch.setattr(BaselineInstance, "lib_ctx", lib_ctx)
+    monkeypatch.setattr(BaselineInstance, "demand_views", demand_views)
     p = BaselineParams(3, 2, 2, 4, Fraction(1, 2))
     report = verify_privacy_exact(BaselineInstance(p), engine="full")
     lib_bits = p.N * p.F
     assert calls == {"lib_ctx": 2**lib_bits, "demand_views": 2**lib_bits * p.N**p.K}
     assert libs == list(range(2**lib_bits))
     assert report.private and report.states == 2**lib_bits * p.N**p.K
+
+
+def test_building_an_instance_runs_no_lifting_code(monkeypatch):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(macc.verify, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("lift_place", "lift_deliver"):
+        monkeypatch.setattr(macc.verify, name, counted(name))
+    cfg = NetworkConfig(3, 2, 2, 3, 3)
+    NonPrivateInstance(make_scheme("example1"), cfg)
+    BaselineInstance(BaselineParams(3, 2, 2, 4, Fraction(1, 2)))
+    lifted = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
+    assert calls == {}
+    # The layout is read on first use, once.
+    assert lifted.shares is lifted.shares and lifted.share_shift > lifted.pay_shift
+    assert calls == {"lift_place": 1, "lift_deliver": 1}
+
+
+def test_instances_are_checked_before_any_enumeration():
+    with pytest.raises(TypeError):
+        verify_privacy_exact(object())
+    with pytest.raises(ValueError):
+        NonPrivateInstance(make_scheme("example1"), NetworkConfig(4, 2, 2, 4, 4))  # needs L = K - 1
