@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .model import Bits
 
@@ -47,8 +47,8 @@ def coeff_xor(coeff: int, column: Sequence[int]) -> int:
     return reduce(xor, (v for c, v in enumerate(column) if (coeff >> c) & 1), 0)
 
 
-def rank_of_rows(rows: Sequence[int]) -> int:
-    """Rank over GF(2) by elimination on int bitmasks, basis indexed by leading bit."""
+def span_basis(rows: Iterable[int]) -> dict[int, int]:
+    """A basis of the span of ``rows`` over GF(2), by elimination, indexed by leading bit."""
     basis: dict[int, int] = {}
     for r in rows:
         while r:
@@ -57,7 +57,24 @@ def rank_of_rows(rows: Sequence[int]) -> int:
                 basis[h] = r
                 break
             r ^= basis[h]
-    return len(basis)
+    return basis
+
+
+def coset_least(v: int, basis: Mapping[int, int]) -> int:
+    """The least element of the coset ``v + span(basis)`` of a ``span_basis``.
+
+    Each basis row is the only one reaching its leading bit, so clearing the
+    leading bits from the top down decides the bits in order of weight.
+    """
+    for h in sorted(basis, reverse=True):
+        if (v >> h) & 1:
+            v ^= basis[h]
+    return v
+
+
+def rank_of_rows(rows: Iterable[int]) -> int:
+    """Rank over GF(2): the size of a ``span_basis``."""
+    return len(span_basis(rows))
 
 
 def gf2_rank(m: Gf2Matrix) -> int:

@@ -12,14 +12,18 @@ material) across the other users' demands. Two exact engines are provided:
 
 * ``full``     — enumerate every (library, key draw, demand vector) state.
 * ``factored`` — exploit that the per-user key vectors are drawn independently,
-  so the varying part of a view factorizes across users; each factor is
-  enumerated exhaustively on its own. A factor sees the library only through
-  the subfile columns its key shares name, so it is computed once per distinct
-  content of those columns and reused across libraries. Used for a lifted
-  scheme when the full state space exceeds the budget.
+  so the varying part of a view factorizes across users. A factor's view is
+  linear in the other user's key draw plus that user's demand column, so it is
+  uniform on a coset of the image of the unit keys: each factor is scored
+  exactly from the coset class of each demand, over GF(2), without walking the
+  key draws. A factor sees the library only through the subfile columns its key
+  shares name, so it is scored once per distinct content of those columns and
+  reused across libraries. Used for a lifted scheme when the full state space
+  exceeds the budget.
 
 Both engines decide the identical condition; their agreement is itself tested.
-Each engine refuses before it enumerates when its state count exceeds the budget.
+Each report's ``states`` counts the states its verdict covers, and each engine
+refuses before it starts when that count exceeds the budget.
 
 Views come from the scheme code that runs, not from a model of it. A lifted
 scheme's layout (the key-share labels in each user's caches) is read from one
@@ -66,7 +70,7 @@ from operator import eq, itemgetter, or_, xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
-from .gf2 import coeff_xor
+from .gf2 import coeff_xor, coset_least, span_basis
 from .lifting import KeyMaterial, lift_decode_subfiles, lift_deliver, lift_place, share_cache, virtual_config
 from .model import (
     Bits,
@@ -536,6 +540,28 @@ def _find_witness(cell, lib, d_k):
     return None
 
 
+def _factor_mi(labels: tuple[tuple[int, int], ...], columns: Sequence[Sequence[int]], t: int, width: int):
+    """I(d_i; view) for one factor, from the coset class of the demand.
+
+    ``labels`` are the (alpha, j) of user i's key shares the viewer sees and
+    ``columns[j-1]`` the j-th subfiles of the N files. The view is
+    ``(blocks(p), r(p) XOR e_{d_i})`` over user i's uniform key draw p: each
+    block ``coeff_xor(p_alpha, column_j)`` and the mask ``r = XOR_alpha p_alpha``
+    are linear in p. So under demand d the view is uniform on the coset of
+    ``(0, e_d)`` modulo the image of the t·N unit keys, and the MI is that of d
+    and its coset's least element, the exact 0 when every demand shares one coset.
+    """
+    N = len(columns[0])
+    images = []
+    for a in range(1, t + 1):
+        for b in range(N):
+            unit = 1 << b
+            blocks = (coeff_xor(unit, columns[j - 1]) if alpha == a else 0 for alpha, j in labels)
+            images.append((pack(blocks, width) << N) | unit)
+    basis = span_basis(images)
+    return mutual_information_exact({(d, coset_least(1 << (d - 1), basis)): 1 for d in range(1, N + 1)})
+
+
 def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
     """Exact privacy check exploiting per-user key independence.
 
@@ -543,7 +569,10 @@ def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
     users i: factor i is (the key shares of i landing in user k's caches, the
     column q_i). The view distributions match across the other demands iff
     every factor's distribution is d_i-invariant, and the total MI is the mean
-    over libraries of the per-factor MI sum.
+    over libraries of the per-factor MI sum. Each factor is scored from the
+    coset class of d_i (``_factor_mi``), not by walking user i's key draws;
+    ``states`` is still the count of (library, factor, key draw, d_i) states
+    the verdict covers, and the budget is checked against it.
 
     A share p_{i,a}·(column j) depends on the library only through column j, so
     a factor is a function of its share labels and the content of the columns
@@ -555,15 +584,9 @@ def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
     """
     N, K, t = inst.cfg.N, inst.cfg.K, inst.t
     n_libs = 1 << (N * inst.cfg.F)
-    per_user_keys = 1 << (t * N)
-    states = n_libs * K * (K - 1) * per_user_keys * N
+    states = n_libs * K * (K - 1) * (1 << (t * N)) * N
     if states > budget:
         raise BudgetExceededError(states, budget, "factored privacy enumeration")
-    # One user's key draws: its t vectors and their combined mask r.
-    draws = []
-    for x in range(per_user_keys):
-        p = split(x, t, N)
-        draws.append((p, reduce(xor, p, 0)))
     # seen[k0-1][i-1]: the (alpha, j) of user i's key shares in user k0's caches.
     seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in inst.shares]
     cells = [(k0, i, seen[k0 - 1][i - 1]) for k0 in range(1, K + 1) for i in range(1, K + 1) if i != k0]
@@ -580,14 +603,7 @@ def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
             key = (labels, pack((packed[j - 1] for _, j in labels), N * width))
             mi_cell = memo.get(key)
             if mi_cell is None:
-                xors = {j: inst.coeff_table(columns[j - 1]) for _, j in labels}
-                joint: dict = {}
-                for p, r in draws:
-                    blocks = tuple(xors[j][p[a - 1]] for a, j in labels)
-                    for d_i in range(1, N + 1):
-                        kk = (d_i, (blocks, r ^ (1 << (d_i - 1))))
-                        joint[kk] = joint.get(kk, 0) + 1
-                mi_cell = memo[key] = mutual_information_exact(joint)
+                mi_cell = memo[key] = _factor_mi(labels, columns, t, width)
             if mi_cell != 0:
                 leaks[labels] = mi_cell
         if not leaks:

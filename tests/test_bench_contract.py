@@ -32,12 +32,23 @@ def ops(workload: str) -> dict:
     return {op.id: op for op in workloads().WORKLOADS[workload](7)}
 
 
+def factored_sweep_ops() -> list[tuple[str, str, str]]:
+    """Every sweep operation whose full state count is past the sweep's budget, so
+    that ``auto`` hands it to the factored engine: 45 of the 56."""
+    bench = workloads()
+    return [
+        ("privacy-sweep", bench.sweep_id(K, L, tp, off), "factored")
+        for K, L, tp, off in bench.sweep_instances()
+        if bench.covered_states(K, 2, K, len(off)) > bench.SWEEP_BUDGET
+    ]
+
+
 # (workload, operation id, the privacy engine it must run or None)
 CHEAP_OPS = [
     ("verify-keyless", "keyless/example1-N2-leak", "full"),
     ("privacy-sweep", "sweep/K3-L1-tp1-off1", "full"),
     ("privacy-sweep", "sweep/K3-L2-tp1-off1", "full"),
-    ("privacy-sweep", "sweep/K4-L3-tp1-off1,3", "factored"),
+    *factored_sweep_ops(),
     ("simulate", "sim/lifted-example1-N4", None),
     ("simulate", "sim/baseline-K7-L3-N3-M1/2", None),
     ("simulate", "sim/nonprivate-cu-K7-L3-N3-tp2", None),

@@ -13,15 +13,20 @@ from macc import (
     invert_square,
     random_library,
 )
-from macc.gf2 import rank_of_rows
+from macc.gf2 import coset_least, rank_of_rows, span_basis
+
+
+def row_span(rows):
+    """Every XOR of a subset of ``rows``, brute force."""
+    span = {0}
+    for r in rows:
+        span |= {r ^ s for s in span}
+    return span
 
 
 def spanning_rank(rows, cols):
     """Independent oracle: size of the row span, brute force."""
-    span = {0}
-    for r in rows:
-        span |= {r ^ s for s in span}
-    size = len(span)
+    size = len(row_span(rows))
     rank = 0
     while size > 1:
         size //= 2
@@ -40,6 +45,14 @@ def test_rank_against_span_oracle_exhaustive():
 @given(st.lists(st.integers(0, 15), max_size=5))
 def test_rank_against_span_oracle_random(rows):
     assert rank_of_rows(rows) == spanning_rank(rows, 4)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(0, 31), max_size=5), st.integers(0, 31))
+def test_coset_least_is_the_least_element_of_the_coset(rows, v):
+    basis = span_basis(rows)
+    assert all(r.bit_length() - 1 == h for h, r in basis.items())
+    assert coset_least(v, basis) == min(v ^ s for s in row_span(rows))
 
 
 def test_matrix_entry_and_identity():

@@ -8,6 +8,7 @@ from itertools import combinations
 from operator import eq
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import macc.lifting
 import macc.model
@@ -644,6 +645,64 @@ def test_factored_memo_scores_each_distinct_factor_once(monkeypatch):
     assert report.states == n_libs * K * (K - 1) * (1 << 4) * 2
     # One call per distinct (labels, visible columns): 2,049 here, not one per library and cell.
     assert 0 < len(calls) < n_libs * K * (K - 1)
+
+
+@pytest.mark.parametrize(
+    "N, tp, mi, run_reference",
+    [(3, 0, 1.3414474616473864, True), (3, 1, 0.6887218755408665, True), (4, 0, 1.6439761474313541, False)],
+    ids=["N3-tp0", "N3-tp1", "N4-tp0"],
+)
+def test_factored_engine_matches_joint_table_reference_beyond_two_files(N, tp, mi, run_reference):
+    # At N >= 3 the coset classes of the demands are uneven, so the MI is no power of two.
+    # The N = 4 MI is the reference's too; the reference takes over 2 s there, so only
+    # the value is pinned.
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(3, 2, N, 3, 3), (1,))
+    report = verify_privacy_exact(inst, engine="factored")
+    assert not report.private
+    assert [u.mi_bits for u in report.users] == pytest.approx([mi] * 3, abs=1e-12)
+    if run_reference:
+        reference = _per_library_factored(inst)
+        assert report.states == reference.states
+        assert [(u.private, u.witness) for u in report.users] == [(u.private, u.witness) for u in reference.users]
+        assert [u.mi_bits for u in report.users] == pytest.approx([u.mi_bits for u in reference.users], abs=1e-12)
+
+
+def _factor_mi_by_draws(labels, columns, t):
+    """A factor's MI from its joint table over every key draw of the other user."""
+    N = len(columns[0])
+    joint = Counter()
+    for x in range(1 << (t * N)):
+        p = split(x, t, N)
+        blocks = tuple(coeff_xor(p[a - 1], columns[j - 1]) for a, j in labels)
+        r = 0
+        for v in p:
+            r ^= v
+        for d in range(1, N + 1):
+            joint[d, (blocks, r ^ (1 << (d - 1)))] += 1
+    return mutual_information_exact(joint)
+
+
+@st.composite
+def factors(draw):
+    """(labels, columns, t, width): a random small factor of the factored engine."""
+    N, t, width = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n_cols = draw(st.integers(1, 3))
+    columns = [tuple(draw(st.lists(st.integers(0, (1 << width) - 1), min_size=N, max_size=N))) for _ in range(n_cols)]
+    label = st.tuples(st.integers(1, t), st.integers(1, n_cols))
+    labels = tuple(draw(st.lists(label, max_size=3, unique=True)))
+    return labels, columns, t, width
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors())
+def test_factor_mi_from_coset_classes_matches_key_draw_enumeration(factor):
+    labels, columns, t, width = factor
+    coset = macc.verify._factor_mi(labels, columns, t, width)
+    by_draws = _factor_mi_by_draws(labels, columns, t)
+    assert (coset == 0) == (by_draws == 0)
+    if by_draws == 0:
+        assert isinstance(coset, Fraction) and isinstance(by_draws, Fraction)
+    assert coset == pytest.approx(by_draws, abs=1e-12)
 
 
 def test_factored_engine_honours_budget():
