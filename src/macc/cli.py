@@ -157,8 +157,11 @@ def cmd_tradeoff(args) -> int:
                 print(f"skipping M={M}: {e}", file=sys.stderr)
                 continue
             files = [random_library(1, F, 1, DEFAULT_SEED + n).file(1) for n in range(args.N)]
-            payload, rate = baseline_deliver(params, files)
-            assert Fraction(payload.n, F) == rate
+            payload, _ = baseline_deliver(params, files)
+            rate = Fraction(payload.n, F)
+            if rate != params.N - params.L * M:
+                print(f"verification failed: M={M}: the broadcast takes {rate} files, not N - L*M", file=sys.stderr)
+                return 1
             rows.append((M, rate, 0, scheme, ""))
     elif scheme.startswith("lifted:"):
         base_name = scheme.split(":", 1)[1]
@@ -166,6 +169,9 @@ def cmd_tradeoff(args) -> int:
             cfg = _nonprivate_cfg(args)
             make_scheme(base_name).validate(cfg)
             offsets, _ = private_set_offsets(args.private_set, cfg)
+        t = len(offsets)
+        library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, DEFAULT_SEED)
+        keys = KeyMaterial.generate(cfg.K, t, cfg.N, DEFAULT_SEED)
         # Each grid point asks for base memory M, so t_placement = M*K/N; a point
         # the base scheme cannot store exactly is skipped, and said so.
         for M in sorted(grid or [Fraction(cfg.N, cfg.K)]):
@@ -180,7 +186,12 @@ def cmd_tradeoff(args) -> int:
             except ValueError as e:
                 print(f"skipping M={M}: {e}", file=sys.stderr)
                 continue
-            rows.extend(_lifted_rows(base, cfg, offsets, scheme))
+            # Lifting must leave the base rate unchanged; Q is counted apart from it.
+            tx = lift_deliver(base, cfg, keys, library, (1,) * cfg.K)
+            if tx.rate != base.rate(cfg):
+                print(f"verification failed: M={M}: lifting moved the rate {base.rate(cfg)} to {tx.rate}", file=sys.stderr)
+                return 1
+            rows.append((lifted_memory(M, t, cfg.L, cfg.N), tx.rate, tx.q_bits, scheme, t))
     else:
         raise UsageError(f"tradeoff supports baseline-private and lifted:* schemes, not {scheme!r}")
 
@@ -194,17 +205,6 @@ def cmd_tradeoff(args) -> int:
         if args.output:
             out.close()
     return 0
-
-
-def _lifted_rows(base, cfg, offsets, scheme_name):
-    t = len(offsets)
-    M = base.memory_per_cache(cfg)
-    library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, DEFAULT_SEED)
-    keys = KeyMaterial.generate(cfg.K, t, cfg.N, DEFAULT_SEED)
-    tx = lift_deliver(base, cfg, keys, library, tuple(1 for _ in range(cfg.K)))
-    assert Fraction(tx.payload.n, cfg.F) == tx.rate
-    m_tilde = lifted_memory(M, t, cfg.L, cfg.N)
-    return [(m_tilde, tx.rate, tx.q_bits, scheme_name, t)]
 
 
 def cmd_private_set(args) -> int:

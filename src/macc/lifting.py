@@ -5,11 +5,12 @@ per user and per private-set slot, a uniform coefficient vector over the N files
 and stores one coded key share per missing subfile index in that slot's cache,
 under the label ``("S", k, alpha, j)``.
 Delivery masks each demand inside a coefficient column q_k and runs the base
-scheme over K virtual files, one per user. A user decodes from the broadcast
-and the caches it reaches alone: the kernel ``lift_decode_subfiles`` peels the
-base plan of the virtual demand vector (1..K) off the block tuple, strips the
-user's key shares and returns W_{d_k} as its subfile ints; ``lift_decode``
-merges the user's window, runs the kernel and packs the file once.
+scheme over K virtual files, one per user; the payload stays the base plan's
+block tuple. A user decodes from the broadcast and its window alone (the caches
+it reaches, what ``model.cached_block`` returns): ``lift_decode`` peels the base
+plan of the virtual demand vector (1..K) off the block tuple, strips the user's
+key shares and returns W_{d_k} as its subfile ints. No ``Bits`` is built on the
+way.
 
 Coefficient vectors over files are plain ints: bit (n-1) selects file n.
 """
@@ -25,14 +26,11 @@ from typing import Sequence
 
 from .gf2 import coeff_xor
 from .model import (
-    Bits,
     Cache,
     NetworkConfig,
     PlacementState,
     SubfileLibrary,
-    cached_block,
     mod_index,
-    pack,
     split,
 )
 from .private_sets import is_private_set
@@ -56,6 +54,10 @@ class KeyMaterial:
 
     @classmethod
     def generate(cls, K: int, t: int, N: int, seed: int) -> "KeyMaterial":
+        """Refuses a ``None`` seed: ``random.Random(None)`` seeds from the OS, and a draw
+        nobody can repeat cannot be reported or checked again."""
+        if seed is None:
+            raise ValueError("key draw needs an int seed; None would draw keys that cannot be drawn again")
         rng = random.Random(seed)
         p = tuple(tuple(rng.getrandbits(N) for _ in range(t)) for _ in range(K))
         return cls(K, t, N, p)
@@ -125,18 +127,12 @@ def lift_place(
 
 @dataclass(frozen=True)
 class LiftedTransmission:
-    """The broadcast (Q, payload). The payload travels as its blocks in plan order;
-    ``payload`` packs them into one ``Bits`` on demand."""
+    """The broadcast (Q, payload). The payload travels as its blocks in plan order."""
 
     q_columns: tuple[int, ...]  # column k at index k-1, an N-bit mask
     n_files: int
     blocks: tuple[int, ...]
-    subfile_bits: int
     rate: Fraction
-
-    @property
-    def payload(self) -> Bits:
-        return Bits(len(self.blocks) * self.subfile_bits, pack(self.blocks, self.subfile_bits))
 
     @property
     def q_bits(self) -> int:
@@ -161,10 +157,10 @@ def lift_deliver(
     columns = [library.column(j) for j in range(1, cfg.subfiles_per_file + 1)]
     blocks = base.blocks(vcfg, users, lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
     rate = Fraction(len(blocks) * cfg.subfile_bits, cfg.F)
-    return LiftedTransmission(q, cfg.N, blocks, cfg.subfile_bits, rate)
+    return LiftedTransmission(q, cfg.N, blocks, rate)
 
 
-def lift_decode_subfiles(
+def lift_decode(
     base: NonPrivateScheme,
     cfg: NetworkConfig,
     offsets: Sequence[int],
@@ -173,8 +169,13 @@ def lift_decode_subfiles(
     cached: Cache,
     d_k: int,
 ) -> tuple[int, ...]:
-    """The decode kernel: W_{d_k} as its subfile ints in ``pack`` order, from the
-    transmission and user k's window ``cached`` (what ``cached_block`` returns)."""
+    """W_{d_k} as its subfile ints in ``pack`` order, from the transmission, user k's own
+    demand and its window ``cached`` (what ``cached_block`` returns).
+
+    ``offsets`` is the private set ``lift_place`` was given: user k strips all
+    ``len(offsets)`` of its key shares off each peeled subfile, so a share missing
+    from its caches is a ``LookupError`` rather than a wrong file.
+    """
 
     # Virtual subfiles are computable from cached real subfiles because the
     # round-1 placement is file symmetric.
@@ -187,22 +188,3 @@ def lift_decode_subfiles(
         for alpha in range(1, len(offsets) + 1):
             parts[j] ^= cached["S", k, alpha, j]  # strip user k's key shares off the virtual subfile
     return tuple(parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
-
-
-def lift_decode(
-    base: NonPrivateScheme,
-    cfg: NetworkConfig,
-    offsets: Sequence[int],
-    k: int,
-    tx: LiftedTransmission,
-    placement: PlacementState,
-    d_k: int,
-) -> Bits:
-    """Recover W_{d_k} from user k's caches, its own demand, and the transmission.
-
-    ``offsets`` is the private set ``lift_place`` was given: user k strips all
-    ``len(offsets)`` of its key shares off each peeled subfile, so a share missing
-    from its caches is a ``LookupError`` rather than a wrong file.
-    """
-    subfiles = lift_decode_subfiles(base, cfg, offsets, k, tx, cached_block(cfg, k, placement), d_k)
-    return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))

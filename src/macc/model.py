@@ -3,12 +3,13 @@
 One bit layout serves the whole package: fixed-width fields sit MSB-first in one
 int, the first field in the top bits. Subfiles in a file, blocks in a payload,
 key vectors in a key index and Q columns all follow it, through ``pack`` and
-``split``, its only two kernels. The scheme code computes on those ints and
-builds a ``Bits`` only where a value leaves a public function. A payload travels
-between delivery and decoding as a tuple of its block ints, in plan order, and
-is packed only where it leaves a public function or becomes a privacy view.
-A cache maps each stored block's label to its int, and every decoder reads its
-user's caches through ``cached_block`` alone.
+``split``, its only two kernels. The scheme code computes on those ints. A
+``Bits`` appears only where a library or file enters the program or is compared,
+and in the baseline's public place/deliver/decode. A non-private or lifted
+payload travels from delivery to decoding as a tuple of its block ints, in plan
+order, and is packed only where it becomes a privacy view; those decoders return
+a file as its subfile ints. A cache maps each stored block's label to its int,
+and every decoder reads its user's caches through ``cached_block`` alone.
 """
 
 from __future__ import annotations

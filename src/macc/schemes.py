@@ -6,19 +6,18 @@ groups of (file, subfile) references; the payload is the groups' blocks in
 order. Every file splits into K subfiles. ``NonPrivateScheme`` derives
 memory, rate, placement, delivery, each user's layout (once per configuration)
 and decoding from the two. A placement holds the cached subfile values, and a
-decoder reads them only through ``model.cached_block``, over user k's caches.
+decoder reads them only through user k's window, what ``model.cached_block``
+returns.
 ``blocks`` is the one payload kernel: it gives the plan's XOR blocks as a tuple
-of ints, in plan order, over any int subfile accessor.
-Delivery, the lifted delivery and the privacy engines all call it; a payload is
-packed only where it leaves a public function or becomes a privacy view.
-Decoding peels the plan off the block tuple: a block whose only term user k
+of ints, in plan order, over any int subfile accessor. Delivery, the lifted
+delivery and the privacy engines all call it, and ``deliver`` returns that
+tuple; a payload is packed only where it becomes a privacy view.
+``decode`` peels the plan off the block tuple: a block whose only term user k
 has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
 off. Which block gives which subfile, and with which cached terms, is a
 schedule derived once per (configuration, demand vector, user), so a decode
-only XORs. A plan leaving a subfile unrecovered is a ``LookupError``. The
-decode kernel ``decode_subfiles`` returns W_{d_k} as its subfile ints from the
-block tuple and user k's window (what ``cached_block`` returns); ``decode``
-merges the window, runs the kernel and packs the file once. Both shipped
+only XORs. A plan leaving a subfile unrecovered is a ``LookupError``. ``decode``
+returns W_{d_k} as its subfile ints, and builds no ``Bits``. Both shipped
 schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
 accessible caches) and work for any file count N, so the lifting transform runs
 them unmodified over virtual libraries.
@@ -33,17 +32,13 @@ from operator import xor
 from typing import Sequence
 
 from .model import (
-    Bits,
     Cache,
     IntSubfile,
     NetworkConfig,
     PlacementState,
     SubfileLibrary,
     accessible_caches,
-    cached_block,
     mod_index,
-    pack,
-    split,
 )
 
 PayloadPlan = tuple[tuple[tuple[int, int], ...], ...]
@@ -104,15 +99,15 @@ class NonPrivateScheme(ABC):
 
     def deliver(
         self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
-    ) -> tuple[Bits, Fraction]:
+    ) -> tuple[tuple[int, ...], Fraction]:
+        """The payload as its blocks in plan order, and the rate they take in file units."""
         self.validate(cfg)
         library.check_fits(cfg)
         demands = tuple(demands)
         if any(not 1 <= d <= cfg.N for d in demands) or len(demands) != cfg.K:
             raise ValueError(f"bad demand vector {demands} for N={cfg.N}, K={cfg.K}")
         blocks = self.blocks(cfg, demands, lambda n, j: library.subfile(n, j).v)
-        bits = len(blocks) * cfg.subfile_bits
-        return Bits(bits, pack(blocks, cfg.subfile_bits)), Fraction(bits, cfg.F)
+        return blocks, Fraction(len(blocks) * cfg.subfile_bits, cfg.F)
 
     @lru_cache(maxsize=256)
     def _peel(
@@ -144,28 +139,15 @@ class NonPrivateScheme(ABC):
             raise LookupError(f"the payload plan gives user {k} no block for subfiles {list(lost)} of W_{d_k}")
         return {j: reduce(xor, [subfile(n, i) for n, i in terms], blocks[pos]) for pos, j, terms in steps}
 
-    def decode_subfiles(
-        self, cfg: NetworkConfig, k: int, blocks: Sequence[int], cached: Cache, demands: tuple[int, ...]
+    def decode(
+        self, cfg: NetworkConfig, k: int, blocks: Sequence[int], cached: Cache, demands: Sequence[int]
     ) -> tuple[int, ...]:
-        """The decode kernel: W_{d_k} as its subfile ints in ``pack`` order, from the payload
-        ``blocks`` and user k's window ``cached`` (what ``cached_block`` returns)."""
+        """W_{d_k} as its subfile ints in ``pack`` order, from the payload ``blocks`` (in
+        plan order) and user k's window ``cached`` (what ``cached_block`` returns)."""
+        demands = tuple(demands)
         parts = self.decode_missing(cfg, k, blocks, lambda n, j: cached["W", n, j], demands)
         d_k = demands[k - 1]
         return tuple(parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
-
-    def decode(
-        self, cfg: NetworkConfig, k: int, payload: Bits, placement: PlacementState, demands: Sequence[int]
-    ) -> Bits:
-        """Recover W_{d_k} from the payload and the subfiles in user k's caches."""
-        demands = tuple(demands)
-        count = len(self._plan(cfg, demands))
-        if payload.n != count * cfg.subfile_bits:
-            raise ValueError(
-                f"user {k} got a {payload.n}-bit payload, the plan sends {count} blocks of {cfg.subfile_bits} bits"
-            )
-        blocks = split(payload.v, count, cfg.subfile_bits)
-        subfiles = self.decode_subfiles(cfg, k, blocks, cached_block(cfg, k, placement), demands)
-        return Bits(cfg.F, pack(subfiles, cfg.subfile_bits))
 
     def place(self, cfg: NetworkConfig, library: SubfileLibrary) -> PlacementState:
         """Cache c holds W_{n,j} of every file n for each index j of its ``placement_map`` entry."""

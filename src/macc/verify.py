@@ -1,10 +1,11 @@
 """Exact verification: decodability sweeps, demand-privacy by enumeration, attack demo.
 
 A decodability round trip does only the decoding. A runner places (and merges
-each user's window) once per placement, and returns each user's decoded file as
-a tuple of subfile ints from the schemes' decode kernels; no file is packed. The
-sweep cuts each demanded file once into as many fields as a returned tuple holds,
-and compares tuples.
+each user's window) once per placement. Each scheme kind has one delivery and one
+decoder: the payload reaches the decoders as its block tuple, and each decoder
+returns its user's file as a tuple of subfile ints, so no round trip packs or
+cuts a payload or a file. The sweep cuts each demanded file once into as many
+fields as a returned tuple holds, and compares tuples.
 
 Privacy is checked in the conditional form: fix the library realization w and
 the user's own demand, then compare the view distribution (over uniform key
@@ -17,8 +18,8 @@ material) across the other users' demands. Two exact engines are provided:
   uniform on a coset of the image of the unit keys: each factor is scored
   exactly from the coset class of each demand, over GF(2), without walking the
   key draws. A factor sees the library only through the subfile columns its key
-  shares name, so it is scored once per distinct content of those columns and
-  reused across libraries. Used for a lifted scheme when the full state space
+  shares name, so it is scored over the contents of those columns alone, never
+  library by library. Used for a lifted scheme when the full state space
   exceeds the budget.
 
 Both engines decide the identical condition; their agreement is itself tested.
@@ -71,7 +72,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
 from .gf2 import coeff_xor, coset_least, span_basis
-from .lifting import KeyMaterial, lift_decode_subfiles, lift_deliver, lift_place, share_cache, virtual_config
+from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place, share_cache, virtual_config
 from .model import (
     Bits,
     NetworkConfig,
@@ -197,16 +198,15 @@ def make_nonprivate_runner(
     scheme: NonPrivateScheme, cfg: NetworkConfig, library: SubfileLibrary
 ) -> Runner:
     """Places and merges each user's window on the first round trip, so a library that
-    does not fit is refused there; each payload is cut into its blocks once for all users."""
+    does not fit is refused there; every user decodes the delivered block tuple as is."""
     windows: list = []
 
     def run(seed, demands):
         if not windows:
             placement = scheme.place(cfg, library)
             windows.extend(cached_block(cfg, k, placement) for k in range(1, cfg.K + 1))
-        payload, _ = scheme.deliver(cfg, library, demands)
-        blocks = split(payload.v, payload.n // cfg.subfile_bits, cfg.subfile_bits)
-        return [scheme.decode_subfiles(cfg, k, blocks, windows[k - 1], demands) for k in range(1, cfg.K + 1)]
+        blocks, _ = scheme.deliver(cfg, library, demands)
+        return [scheme.decode(cfg, k, blocks, windows[k - 1], demands) for k in range(1, cfg.K + 1)]
 
     return run
 
@@ -230,7 +230,8 @@ def make_lifted_runner(
     library: SubfileLibrary,
     enforce_private: bool = True,
 ) -> Runner:
-    """Places each key seed once and merges each user's window then."""
+    """Places each key seed once and merges each user's window then. A ``None`` seed is
+    refused by ``KeyMaterial.generate``, so a sweep's keys can always be drawn again."""
     placements: dict = {}  # seed -> (keys, each user's window)
 
     def run(seed, demands):
@@ -241,7 +242,7 @@ def make_lifted_runner(
         keys, windows = placements[seed]
         tx = lift_deliver(base, cfg, keys, library, demands)
         return [
-            lift_decode_subfiles(base, cfg, offsets, k, tx, windows[k - 1], demands[k - 1])
+            lift_decode(base, cfg, offsets, k, tx, windows[k - 1], demands[k - 1])
             for k in range(1, cfg.K + 1)
         ]
 
@@ -575,53 +576,48 @@ def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
     the verdict covers, and the budget is checked against it.
 
     A share p_{i,a}·(column j) depends on the library only through column j, so
-    a factor is a function of its share labels and the content of the columns
-    they name. Its MI is computed once per distinct (labels, packed visible
-    columns) and reused for every library that agrees on those columns; a
-    factor with no visible share is the same for every library. The library
-    loop keeps its order, so each MI sum adds the same floats in the same order
-    and each witness names the first leaking library.
+    a factor is a function of its share labels and the content of the columns J
+    they name. Each distinct label tuple is scored over the ``2^(N·w·|J|)``
+    contents of its columns, and its mean over the libraries is the mean over
+    those contents; a user's MI is the sum of its factors' means. A content that
+    leaks names the least library holding it: that content with zeros in every
+    other subfile. Each witness is the least (library, leaking user) pair.
     """
-    N, K, t = inst.cfg.N, inst.cfg.K, inst.t
-    n_libs = 1 << (N * inst.cfg.F)
-    states = n_libs * K * (K - 1) * (1 << (t * N)) * N
+    cfg, t = inst.cfg, inst.t
+    N, K, S, width = cfg.N, cfg.K, cfg.subfiles_per_file, cfg.subfile_bits
+    states = (1 << (N * cfg.F)) * K * (K - 1) * (1 << (t * N)) * N
     if states > budget:
         raise BudgetExceededError(states, budget, "factored privacy enumeration")
     # seen[k0-1][i-1]: the (alpha, j) of user i's key shares in user k0's caches.
     seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in inst.shares]
-    cells = [(k0, i, seen[k0 - 1][i - 1]) for k0 in range(1, K + 1) for i in range(1, K + 1) if i != k0]
-    distinct = {labels for _, _, labels in cells}
-    width = inst.cfg.subfile_bits
-    memo: dict = {}  # (labels, packed visible columns) -> the factor's MI
-    mi_sum: list = [Fraction(0)] * K
-    witness: list = [None] * K
-    for lib in range(n_libs):
-        columns = inst.columns(lib)
-        packed = [pack(column, width) for column in columns]
-        leaks = {}  # labels -> the factor's nonzero MI at this library
-        for labels in distinct:
-            key = (labels, pack((packed[j - 1] for _, j in labels), N * width))
-            mi_cell = memo.get(key)
-            if mi_cell is None:
-                mi_cell = memo[key] = _factor_mi(labels, columns, t, width)
+    scores = {}  # labels -> (the factor's mean MI over libraries, its least leaking library or None)
+    for labels in {seen[k0][i] for k0 in range(K) for i in range(K) if i != k0}:
+        js = sorted({j for _, j in labels})
+        columns = [(0,) * N] * S
+        total, least = Fraction(0), None
+        for content in range(1 << (N * width * len(js))):
+            for j, column in zip(js, split(content, len(js), N * width)):
+                columns[j - 1] = split(column, N, width)
+            mi_cell = _factor_mi(labels, columns, t, width)
             if mi_cell != 0:
-                leaks[labels] = mi_cell
-        if not leaks:
-            continue
-        for k0, i, labels in cells:
-            mi_cell = leaks.get(labels)
-            if mi_cell is not None:
-                mi_sum[k0 - 1] = mi_sum[k0 - 1] + mi_cell
-                if witness[k0 - 1] is None:
-                    witness[k0 - 1] = {
-                        "library": lib,
-                        "leaking_user": i,
-                        "detail": "distribution of (visible key shares, q column) varies with this user's demand",
-                    }
+                total = total + mi_cell
+                lib = pack((pack(subfiles, width) for subfiles in zip(*columns)), cfg.F)  # library_from_int's layout
+                least = lib if least is None else min(least, lib)
+        scores[labels] = (total / (1 << (N * width * len(js))) if total else Fraction(0), least)
     report = PrivacyReport("factored", states)
-    for k0 in range(K):
-        mi = mi_sum[k0] / n_libs if mi_sum[k0] else Fraction(0)
-        report.users.append(UserPrivacyVerdict(k0 + 1, witness[k0] is None, mi, witness[k0]))
+    for k0 in range(1, K + 1):
+        others = [(scores[seen[k0 - 1][i - 1]], i) for i in range(1, K + 1) if i != k0]
+        mi = sum((mean for (mean, _), _ in others), Fraction(0))
+        leaks = [(lib, i) for (_, lib), i in others if lib is not None]
+        witness = None
+        if leaks:
+            lib, i = min(leaks)
+            witness = {
+                "library": lib,
+                "leaking_user": i,
+                "detail": "distribution of (visible key shares, q column) varies with this user's demand",
+            }
+        report.users.append(UserPrivacyVerdict(k0, witness is None, mi, witness))
     return report
 
 

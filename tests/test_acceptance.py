@@ -32,9 +32,11 @@ from macc import (
     make_lifted_runner,
     random_library,
     smallest_private_set_oracle,
+    split,
     verify_decodability,
     verify_privacy_exact,
 )
+from macc.model import cached_block
 from macc.schemes import make_scheme
 
 
@@ -85,11 +87,11 @@ def test_criterion_2_lifted_example1_memory_rate():
         for demands in all_demand_vectors(N, 3):
             tx = lift_deliver(base, cfg, keys, lib, demands)
             assert tx.rate == Fraction(1, 3)
-            assert Fraction(tx.payload.n, cfg.F) == Fraction(1, 3)
+            assert Fraction(len(tx.blocks) * cfg.subfile_bits, cfg.F) == Fraction(1, 3)
             assert tx.q_bits == 9
             for k in range(1, 4):
-                got = lift_decode(base, cfg, (1, 2), k, tx, placement, demands[k - 1])
-                assert got == lib.file(demands[k - 1])
+                got = lift_decode(base, cfg, (1, 2), k, tx, cached_block(cfg, k, placement), demands[k - 1])
+                assert got == tuple(split(lib.file(demands[k - 1]).v, 3, cfg.subfile_bits))
 
     report(2, checks)
 
@@ -182,7 +184,7 @@ def test_criterion_6_lifted_accounting():
                         for demands in all_demand_vectors(N, K):
                             tx = lift_deliver(base, cfg, keys, lib, demands)
                             assert tx.rate == base_rate
-                            assert Fraction(tx.payload.n, cfg.F) == base_rate
+                            assert Fraction(len(tx.blocks) * cfg.subfile_bits, cfg.F) == base_rate
 
     report(6, checks)
 
@@ -228,7 +230,7 @@ def test_criterion_8_negative_controls():
             cache[share] ^= 1
             tx = lift_deliver(base, cfg, keys, lib, demands)
             return [
-                (lift_decode(base, cfg, (1, 2), k, tx, tuple(bad), demands[k - 1]).v,)
+                lift_decode(base, cfg, (1, 2), k, tx, cached_block(cfg, k, tuple(bad)), demands[k - 1])
                 for k in range(1, 4)
             ]
 

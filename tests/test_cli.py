@@ -1,12 +1,15 @@
 import argparse
 import json
 import shlex
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import macc.cli
 import macc.verify
+from macc import Bits
 from macc.cli import build_parser, main
 
 
@@ -120,6 +123,38 @@ def test_tradeoff_lifted_reports_each_skipped_grid_point(capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == ["skipping M=2: example1 stores M=1 here"]
     assert captured.out.splitlines() == ["M_file_units,rate_file_units,q_overhead_bits,scheme,t"]
+
+
+def test_tradeoff_baseline_broadcast_off_the_rate_identity_exits_one(capsys, monkeypatch):
+    # A broadcast one remainder longer than N - L*M files is a verification failure.
+    real = macc.cli.baseline_deliver
+
+    def one_more_block(params, files):
+        payload, rate = real(params, files)
+        return Bits(payload.n + params.broadcast_bits, payload.v), rate
+
+    monkeypatch.setattr(macc.cli, "baseline_deliver", one_more_block)
+    args = ["tradeoff", "--scheme", "baseline-private", "--K", "4", "--L", "2", "--N", "2", "--memory-grid", "1/2"]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification failed: M=1/2: the broadcast takes 3/2 files, not N - L*M\n"
+    assert captured.out == ""
+
+
+def test_tradeoff_lifted_rate_off_the_base_rate_exits_one(capsys, monkeypatch):
+    # Lifting leaves the base rate unchanged; a delivery one block longer breaks that.
+    real = macc.cli.lift_deliver
+
+    def one_more_block(base, cfg, keys, library, demands):
+        tx = real(base, cfg, keys, library, demands)
+        blocks = tx.blocks + (0,)
+        return replace(tx, blocks=blocks, rate=Fraction(len(blocks) * cfg.subfile_bits, cfg.F))
+
+    monkeypatch.setattr(macc.cli, "lift_deliver", one_more_block)
+    assert main(["tradeoff", "--scheme", "lifted:example1", "--N", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "verification failed: M=1: lifting moved the rate 1/3 to 2/3\n"
+    assert captured.out == ""
 
 
 def test_attack_refuses_past_its_trial_budget(capsys, monkeypatch):

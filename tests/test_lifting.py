@@ -18,9 +18,10 @@ from macc import (
     make_scheme,
     random_library,
     share_cache,
+    split,
 )
 from macc.lifting import virtual_config
-from macc.model import SubfileLibrary
+from macc.model import SubfileLibrary, cached_block
 
 
 def run_all_users(base, cfg, offsets, library, seed, demands):
@@ -28,9 +29,14 @@ def run_all_users(base, cfg, offsets, library, seed, demands):
     placement = lift_place(base, cfg, offsets, library, keys)
     tx = lift_deliver(base, cfg, keys, library, demands)
     return [
-        lift_decode(base, cfg, offsets, k, tx, placement, demands[k - 1])
+        lift_decode(base, cfg, offsets, k, tx, cached_block(cfg, k, placement), demands[k - 1])
         for k in range(1, cfg.K + 1)
     ]
+
+
+def cut(cfg, library, n):
+    """File n cut into its subfile ints, as ``verify_decodability`` cuts it."""
+    return tuple(split(library.file(n).v, cfg.subfiles_per_file, cfg.subfile_bits))
 
 
 def test_key_material_shapes_and_determinism():
@@ -111,7 +117,7 @@ def test_lifted_example1_decodes_all_demands():
     for seed in (0, 1, 2):
         for demands in all_demand_vectors(3, 3):
             got = run_all_users(base, cfg, (1, 2), lib, seed, demands)
-            assert got == [lib.file(d) for d in demands]
+            assert got == [cut(cfg, lib, d) for d in demands]
 
 
 def test_lifted_cyclic_uncoded_decodes():
@@ -122,7 +128,7 @@ def test_lifted_cyclic_uncoded_decodes():
         offsets = algorithm1_private_set(cfg).caches
         for demands in [(1,) * K, (2,) * K, tuple((i % 2) + 1 for i in range(K))]:
             got = run_all_users(base, cfg, offsets, lib, 13, demands)
-            assert got == [lib.file(d) for d in demands]
+            assert got == [cut(cfg, lib, d) for d in demands]
 
 
 def test_rate_and_q_overhead():
@@ -132,7 +138,7 @@ def test_rate_and_q_overhead():
     lib = random_library(3, 6, 3, 4)
     tx = lift_deliver(base, cfg, keys, lib, (2, 3, 1))
     assert tx.rate == Fraction(1, 3)
-    assert tx.payload.n == 2  # one coded block of subfile size
+    assert len(tx.blocks) == 1  # one coded block of subfile size
     assert tx.q_bits == 9  # K columns of N bits each
     assert all(0 <= q < 8 for q in tx.q_columns)
 
@@ -142,13 +148,13 @@ def test_lift_decode_refuses_a_transmission_missing_a_block():
     base = make_scheme("cyclic-uncoded", 1)
     lib = random_library(2, 8, 4, 5)
     keys = KeyMaterial.generate(4, 2, 2, 5)
-    placement = lift_place(base, cfg, (1, 2), lib, keys)
+    window = cached_block(cfg, 3, lift_place(base, cfg, (1, 2), lib, keys))
     demands = (2, 1, 1, 2)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    assert lift_decode(base, cfg, (1, 2), 3, tx, placement, 1) == lib.file(1)
+    assert lift_decode(base, cfg, (1, 2), 3, tx, window, 1) == cut(cfg, lib, 1)
     short = replace(tx, blocks=tx.blocks[:-1])
     with pytest.raises(ValueError, match="user 3"):
-        lift_decode(base, cfg, (1, 2), 3, short, placement, 1)
+        lift_decode(base, cfg, (1, 2), 3, short, window, 1)
 
 
 def test_q_masks_demands():
@@ -170,8 +176,8 @@ def test_zero_keys_reduce_to_base_scheme():
     keys = KeyMaterial(3, 2, 2, ((0, 0),) * 3)
     demands = (2, 1, 1)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    base_payload, _ = base.deliver(cfg, lib, demands)
-    assert tx.payload == base_payload
+    base_blocks, _ = base.deliver(cfg, lib, demands)
+    assert tx.blocks == base_blocks
 
 
 @pytest.mark.parametrize(
@@ -193,8 +199,7 @@ def test_lifted_payload_is_the_base_delivery_over_the_virtual_library(base, cfg,
             tuple(Bits(cfg.subfile_bits, coeff_xor(q, lib.column(j))) for j in range(1, cfg.K + 1))
             for q in tx.q_columns
         ))
-        payload, rate = base.deliver(virtual_config(cfg), vlib, tuple(range(1, cfg.K + 1)))
-        assert (tx.payload, tx.rate) == (payload, rate)
+        assert (tx.blocks, tx.rate) == base.deliver(virtual_config(cfg), vlib, tuple(range(1, cfg.K + 1)))
 
 
 def test_lift_place_rejects_non_private_offsets():

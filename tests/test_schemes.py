@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from macc import (
-    Bits,
     LiftedInstance,
     NetworkConfig,
     all_demand_vectors,
@@ -13,16 +12,23 @@ from macc import (
     make_scheme,
     random_library,
     smallest_private_set_oracle,
+    split,
     verify_decodability,
     verify_privacy_exact,
 )
+from macc.model import cached_block
 from macc.schemes import NonPrivateScheme
 
 
 def decode_all(scheme, cfg, library, demands):
-    payload, _ = scheme.deliver(cfg, library, demands)
+    blocks, _ = scheme.deliver(cfg, library, demands)
     placement = scheme.place(cfg, library)
-    return [scheme.decode(cfg, k, payload, placement, demands) for k in range(1, cfg.K + 1)]
+    return [scheme.decode(cfg, k, blocks, cached_block(cfg, k, placement), demands) for k in range(1, cfg.K + 1)]
+
+
+def cut(cfg, library, n):
+    """File n cut into its subfile ints, as ``verify_decodability`` cuts it."""
+    return tuple(split(library.file(n).v, cfg.subfiles_per_file, cfg.subfile_bits))
 
 
 def test_make_scheme_names():
@@ -46,12 +52,12 @@ def test_decode_refuses_a_payload_of_the_wrong_length():
     s = make_scheme("cyclic-uncoded", 1)
     lib = random_library(2, 8, 4, 21)
     demands = (1, 2, 2, 1)
-    payload, _ = s.deliver(cfg, lib, demands)
-    placement = s.place(cfg, lib)
-    assert s.decode(cfg, 2, payload, placement, demands) == lib.file(2)
-    for bad in (Bits(payload.n - cfg.subfile_bits, payload.v >> cfg.subfile_bits), Bits(payload.n + 1, payload.v)):
+    blocks, _ = s.deliver(cfg, lib, demands)
+    window = cached_block(cfg, 2, s.place(cfg, lib))
+    assert s.decode(cfg, 2, blocks, window, demands) == cut(cfg, lib, 2)
+    for bad in (blocks[:-1], blocks + (0,)):
         with pytest.raises(ValueError, match="user 2"):
-            s.decode(cfg, 2, bad, placement, demands)
+            s.decode(cfg, 2, bad, window, demands)
 
 
 def test_example1_all_demands_decode():
@@ -61,15 +67,14 @@ def test_example1_all_demands_decode():
         lib = random_library(N, 6, 3, 99)
         for demands in all_demand_vectors(N, 3):
             got = decode_all(s, cfg, lib, demands)
-            assert got == [lib.file(d) for d in demands]
+            assert got == [cut(cfg, lib, d) for d in demands]
 
 
 def test_example1_payload_is_single_subfile_block():
     cfg = NetworkConfig(3, 2, 2, 6, 3)
     lib = random_library(2, 6, 3, 5)
-    payload, rate = make_scheme("example1").deliver(cfg, lib, (2, 1, 2))
-    assert payload.n == 2
-    assert payload == lib.subfile(2, 3) ^ lib.subfile(1, 1) ^ lib.subfile(2, 2)
+    blocks, rate = make_scheme("example1").deliver(cfg, lib, (2, 1, 2))
+    assert blocks == ((lib.subfile(2, 3) ^ lib.subfile(1, 1) ^ lib.subfile(2, 2)).v,)
     assert rate == Fraction(1, 3)
 
 
@@ -123,7 +128,7 @@ def test_cyclic_uncoded_decodes_everywhere():
         lib = random_library(2, 2 * K, K, seed=K + 10 * t)
         for demands in all_demand_vectors(2, K):
             got = decode_all(s, cfg, lib, demands)
-            assert got == [lib.file(d) for d in demands]
+            assert got == [cut(cfg, lib, d) for d in demands]
 
 
 def test_cyclic_uncoded_t_bounds():
@@ -140,7 +145,7 @@ def test_zero_placement_is_pure_unicast():
     assert s.memory_per_cache(cfg) == 0
     assert s.rate(cfg) == 4  # every user gets its whole file unicast
     lib = random_library(3, 4, 4, 1)
-    assert decode_all(s, cfg, lib, (3, 1, 2, 2)) == [lib.file(d) for d in (3, 1, 2, 2)]
+    assert decode_all(s, cfg, lib, (3, 1, 2, 2)) == [cut(cfg, lib, d) for d in (3, 1, 2, 2)]
 
 
 def test_c1_detects_violation():

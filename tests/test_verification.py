@@ -10,6 +10,7 @@ from operator import eq
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import macc.baseline
 import macc.lifting
 import macc.model
 import macc.schemes
@@ -48,6 +49,7 @@ from macc import (
     verify_privacy_exact,
 )
 from macc.lifting import virtual_config
+from macc.model import cached_block
 from macc.verify import PrivacyReport, UserPrivacyVerdict
 
 
@@ -247,17 +249,18 @@ def test_corrupted_key_share_breaks_decoding():
     placement = lift_place(base, cfg, (1, 2), lib, keys)
     demands = (2, 1, 2)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    ok = lift_decode(base, cfg, (1, 2), 1, tx, placement, 2)
-    assert ok == lib.file(2)
+    want = tuple(split(lib.file(2).v, 3, cfg.subfile_bits))
+    ok = lift_decode(base, cfg, (1, 2), 1, tx, cached_block(cfg, 1, placement), 2)
+    assert ok == want
 
     # Flip one bit inside one of user 1's key shares.
     bad = [dict(cache) for cache in placement]
     cache, share = next((c, label) for c in bad for label in c if label[:2] == ("S", 1))
     cache[share] ^= 1
-    got = lift_decode(base, cfg, (1, 2), 1, tx, tuple(bad), 2)
-    assert got != lib.file(2)
+    got = lift_decode(base, cfg, (1, 2), 1, tx, cached_block(cfg, 1, tuple(bad)), 2)
+    assert got != want
     # The witness: exactly which bits disagree.
-    assert (got ^ lib.file(2)).v != 0
+    assert any(g ^ w for g, w in zip(got, want))
 
 
 def test_remark1_attack_deterministic_on_naive_placement():
@@ -348,20 +351,21 @@ def test_decoders_read_only_their_users_caches(base, cfg):
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 61)
     placed, lifted = base.place(cfg, lib), lift_place(base, cfg, offsets, lib, keys)
     for demands in all_demand_vectors(cfg.N, cfg.K):
-        payload, _ = base.deliver(cfg, lib, demands)
+        blocks, _ = base.deliver(cfg, lib, demands)
         tx = lift_deliver(base, cfg, keys, lib, demands)
         for k in range(1, cfg.K + 1):
-            window, want = accessible_caches(k, cfg), lib.file(demands[k - 1])
+            window = accessible_caches(k, cfg)
+            want = tuple(split(lib.file(demands[k - 1]).v, cfg.K, cfg.subfile_bits))
             for decode, placement, t in (
-                (partial(base.decode, cfg, k, payload, demands=demands), placed, 0),
+                (partial(base.decode, cfg, k, blocks, demands=demands), placed, 0),
                 (partial(lift_decode, base, cfg, offsets, k, tx, d_k=demands[k - 1]), lifted, len(offsets)),
             ):
-                assert decode(_keep_caches(placement, window)) == want
+                assert decode(cached=cached_block(cfg, k, _keep_caches(placement, window))) == want
                 for c in window:
                     alphas = [a for a in range(1, t + 1) if share_cache(offsets, k, a, cfg.K) == c]
                     held = [rf"W_\{{\d+,{c}\}}"] + [rf"S_\{{{k},{a},\d+\}}" for a in alphas]
                     with pytest.raises(LookupError, match=rf"({'|'.join(held)}) not in user {k}'s caches"):
-                        decode(_keep_caches(placement, set(window) - {c}))
+                        decode(cached=cached_block(cfg, k, _keep_caches(placement, set(window) - {c})))
 
 
 def test_lift_decode_refuses_a_missing_key_share():
@@ -375,7 +379,7 @@ def test_lift_decode_refuses_a_missing_key_share():
         placement = _keep_caches(lift_place(base, cfg, offsets, lib, keys), {2, 3})
         tx = lift_deliver(base, cfg, keys, lib, demands)
         with pytest.raises(LookupError, match=r"S_\{1,\d+,\d+\} not in user 1's caches"):
-            lift_decode(base, cfg, offsets, 1, tx, placement, demands[0])
+            lift_decode(base, cfg, offsets, 1, tx, cached_block(cfg, 1, placement), demands[0])
 
 
 def test_baseline_decoder_reads_only_its_users_caches():
@@ -407,10 +411,11 @@ def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
         return replace(tx, blocks=tx.blocks[:pos] + (tx.blocks[pos] ^ 1,) + tx.blocks[pos + 1 :])
 
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 9)
-    placement = lift_place(base, cfg, offsets, lib, keys)
+    window = cached_block(cfg, 2, lift_place(base, cfg, offsets, lib, keys))
     demands = (1, 2, 1, 2)
-    assert lift_decode(base, cfg, offsets, 2, real(base, cfg, keys, lib, demands), placement, 2) == lib.file(2)
-    assert lift_decode(base, cfg, offsets, 2, flipped(base, cfg, keys, lib, demands), placement, 2) != lib.file(2)
+    want = tuple(split(lib.file(2).v, cfg.K, cfg.subfile_bits))
+    assert lift_decode(base, cfg, offsets, 2, real(base, cfg, keys, lib, demands), window, 2) == want
+    assert lift_decode(base, cfg, offsets, 2, flipped(base, cfg, keys, lib, demands), window, 2) != want
 
     monkeypatch.setattr(macc.verify, "lift_deliver", flipped)
     files = [lib.file(1), lib.file(2)]
@@ -418,16 +423,10 @@ def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
     assert not rep.ok and rep.failure[2] == 2
 
 
-def test_lifted_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
-    # The payload travels as a block tuple and each decoded file as a subfile tuple:
-    # no decoder cuts a block out of a packed payload, and the round trip packs nothing.
-    cfg = NetworkConfig(4, 2, 2, 8, 4)
-    base = make_scheme("cyclic-uncoded", 1)
-    lib = random_library(2, 8, 4, 32)
-    offsets = algorithm1_private_set(cfg).caches
-    n_blocks = len(lift_deliver(base, cfg, KeyMaterial.generate(4, len(offsets), 2, 0), lib, (1,) * 4).blocks)
-    assert n_blocks != cfg.subfiles_per_file
-    real_split, real_pack = macc.schemes.split, macc.lifting.pack
+def _count_layout_calls(monkeypatch):
+    """Count every ``split`` (by field count) and every ``pack`` through each ``macc``
+    module that binds them, so no layout call on the round trip goes unseen."""
+    real_split, real_pack = macc.model.split, macc.model.pack
     cut, packed = [], []
 
     def counting_split(x, count, width):
@@ -439,14 +438,61 @@ def test_lifted_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
         packed.append(len(fields))
         return real_pack(fields, width)
 
-    monkeypatch.setattr(macc.schemes, "split", counting_split)
-    for module in (macc.schemes, macc.lifting):
-        monkeypatch.setattr(module, "pack", counting_pack)
+    for module in (macc.model, macc.schemes, macc.lifting, macc.baseline, macc.verify):
+        for name, counting in (("split", counting_split), ("pack", counting_pack)):
+            if name in vars(module):
+                monkeypatch.setattr(module, name, counting)
+    return cut, packed
+
+
+def test_lifted_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
+    # The payload travels as a block tuple and each decoded file as a subfile tuple:
+    # no decoder cuts a block out of a packed payload, and the round trip packs nothing.
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(2, 8, 4, 32)
+    offsets = algorithm1_private_set(cfg).caches
+    n_blocks = len(lift_deliver(base, cfg, KeyMaterial.generate(4, len(offsets), 2, 0), lib, (1,) * 4).blocks)
+    assert n_blocks != cfg.subfiles_per_file
     files = [lib.file(1), lib.file(2)]
+    cut, packed = _count_layout_calls(monkeypatch)
     rep = verify_decodability(make_lifted_runner(base, cfg, offsets, lib), cfg.K, cfg.N, files, seeds=(0,))
     assert rep.ok
     assert n_blocks not in cut
     assert packed == []
+
+
+def test_nonprivate_round_trip_never_packs_or_cuts_the_payload(monkeypatch):
+    # ``deliver`` hands the runner its block tuple, which every user decodes as is.
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(2, 8, 4, 33)
+    n_blocks = len(base.payload_plan(cfg, (1,) * 4))
+    assert n_blocks != cfg.subfiles_per_file
+    files = [lib.file(1), lib.file(2)]
+    cut, packed = _count_layout_calls(monkeypatch)
+    rep = verify_decodability(make_nonprivate_runner(base, cfg, lib), cfg.K, cfg.N, files)
+    assert rep.ok and rep.checked == cfg.N**cfg.K
+    assert n_blocks not in cut
+    assert packed == []
+
+
+def test_lifted_sweep_refuses_a_key_draw_nobody_can_repeat(monkeypatch):
+    # The default seeds are (None,): a key draw from OS entropy could not be drawn
+    # again, so the sweep refuses before it places or delivers anything.
+    cfg = NetworkConfig(3, 2, 2, 6, 3)
+    base = make_scheme("example1")
+    lib = random_library(2, 6, 3, 34)
+    calls = []
+    for name in ("lift_place", "lift_deliver"):
+        real = getattr(macc.verify, name)
+        monkeypatch.setattr(macc.verify, name, lambda *a, real=real, **kw: calls.append(1) or real(*a, **kw))
+    run = make_lifted_runner(base, cfg, (1, 2), lib)
+    with pytest.raises(ValueError, match="int seed"):
+        verify_decodability(run, cfg.K, cfg.N, [lib.file(1), lib.file(2)])
+    assert calls == []
+    with pytest.raises(ValueError, match="int seed"):
+        KeyMaterial.generate(3, 2, 2, None)
 
 
 def test_attack_refuses_empty_seeds():
@@ -484,17 +530,17 @@ def _kernel_instances():
 
 
 def test_runner_kernels_are_the_public_decoders():
-    # What a runner returns for user k, packed, is what the public decoder gives.
+    # What a runner returns for user k is what the public decoder gives.
     for base, cfg in _kernel_instances():
         lib = random_library(cfg.N, cfg.F, cfg.K, 63)
         offsets = algorithm1_private_set(cfg).caches
-        w, placement = cfg.subfile_bits, base.place(cfg, lib)
+        placement = base.place(cfg, lib)
         run = make_nonprivate_runner(base, cfg, lib)
         for d in all_demand_vectors(cfg.N, cfg.K):
-            payload, _ = base.deliver(cfg, lib, d)
+            blocks, _ = base.deliver(cfg, lib, d)
             got = run(None, d)
             for k in range(1, cfg.K + 1):
-                assert Bits(cfg.F, pack(got[k - 1], w)) == base.decode(cfg, k, payload, placement, d)
+                assert got[k - 1] == base.decode(cfg, k, blocks, cached_block(cfg, k, placement), d)
         run = make_lifted_runner(base, cfg, offsets, lib)
         for seed in (4, 5):
             keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
@@ -502,8 +548,7 @@ def test_runner_kernels_are_the_public_decoders():
             for d in all_demand_vectors(cfg.N, cfg.K):
                 tx, got = lift_deliver(base, cfg, keys, lib, d), run(seed, d)
                 for k in range(1, cfg.K + 1):
-                    want = lift_decode(base, cfg, offsets, k, tx, lifted, d[k - 1])
-                    assert Bits(cfg.F, pack(got[k - 1], w)) == want
+                    assert got[k - 1] == lift_decode(base, cfg, offsets, k, tx, cached_block(cfg, k, lifted), d[k - 1])
     p = BaselineParams(4, 2, 3, 24, Fraction(1))
     files = [random_library(1, p.F, 1, 40 + n).file(1) for n in range(p.N)]
     payload, _ = baseline_deliver(p, files)
@@ -512,7 +557,7 @@ def test_runner_kernels_are_the_public_decoders():
     for d in all_demand_vectors(p.N, p.K):
         got = run(None, d)
         for k in range(1, p.K + 1):
-            assert Bits(p.F, pack(got[k - 1], p.F)) == public[k - 1][d[k - 1] - 1]
+            assert got[k - 1] == tuple(split(public[k - 1][d[k - 1] - 1].v, 1, p.F))
 
 
 def test_runners_merge_each_window_once_per_placement(monkeypatch):
@@ -522,7 +567,7 @@ def test_runners_merge_each_window_once_per_placement(monkeypatch):
     files = [lib.file(n) for n in range(1, cfg.N + 1)]
     merged = []
     real = macc.model.cached_block
-    for module in (macc.model, macc.schemes, macc.lifting, macc.verify):
+    for module in (macc.model, macc.verify):
         monkeypatch.setattr(module, "cached_block", lambda *a: merged.append(a[1]) or real(*a))
     offsets = algorithm1_private_set(cfg).caches
     rep = verify_decodability(make_lifted_runner(base, cfg, offsets, lib), cfg.K, cfg.N, files, seeds=(0, 1))
@@ -572,7 +617,7 @@ def test_nonprivate_mi_values(scheme, cfg, mi):
 
 
 def _per_library_factored(inst):
-    """The factored engine without its memo: every (viewer, other user) factor is
+    """The factored engine library by library: every (viewer, other user) factor is
     rebuilt from the library's ``coeff_xor`` tables and scored at every library."""
     cfg, t = inst.cfg, inst.t
     K, N = cfg.K, cfg.N
@@ -643,7 +688,8 @@ def test_factored_memo_scores_each_distinct_factor_once(monkeypatch):
     report = verify_privacy_exact(inst, engine="factored")
     n_libs = 1 << 10
     assert report.states == n_libs * K * (K - 1) * (1 << 4) * 2
-    # One call per distinct (labels, visible columns): 2,049 here, not one per library and cell.
+    # One call per distinct labels and content of the columns they name: 2,049 here,
+    # not one per library and cell.
     assert 0 < len(calls) < n_libs * K * (K - 1)
 
 
@@ -726,7 +772,7 @@ def test_baseline_params_rejects_bad_network():
 
 
 def _reference_privacy(base, cfg, offsets):
-    """Per-user (private, MI) from the lifting code's own ``Bits`` output, state by state.
+    """Per-user (private, MI) from the lifting code's own output, state by state.
 
     For every library, key draw and demand vector, user k's view is its window's
     cache contents from ``lift_place`` plus the ``lift_deliver`` broadcast (Q
@@ -754,7 +800,8 @@ def _reference_privacy(base, cfg, offsets):
                 tx = lift_deliver(base, cfg, keys, library, d)
                 for k in range(1, K + 1):
                     rest = d[: k - 1] + d[k:]
-                    joints[k - 1][d[k - 1] - 1][rest, (windows[k - 1], tx.q_columns, tx.payload.v)] += 1
+                    view = (windows[k - 1], tx.q_columns, pack(tx.blocks, cfg.subfile_bits))
+                    joints[k - 1][d[k - 1] - 1][rest, view] += 1
         for k in range(K):
             for joint in joints[k]:
                 mi_sum[k] = mi_sum[k] + mutual_information_exact(joint)
@@ -808,7 +855,7 @@ def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
                 for label, v in placement[c - 1].items():
                     if label[0] == "S":
                         shares = (shares << b) | v
-            want = (shares << en.share_shift) | (q << en.pay_shift) | tx.payload.v
+            want = (shares << en.share_shift) | (q << en.pay_shift) | pack(tx.blocks, b)
             assert list(user_views)[key_index] == want
 
 
