@@ -38,25 +38,31 @@ no histogram and no MI.
 
 Every instance exposes ``cfg``, ``key_bits``, ``lib_ctx``, ``demand_views``, and
 the engines read the instance itself. ``lib_ctx(lib)`` gives the per-library
-tables and ``demand_views(ctx, d)`` gives for each user an iterable of that
-user's views over all key draws (one view for the keyless schemes). The full
-engine tallies each iterable as it is made (a ``Counter`` over the key draws,
-or the lone view), so the per-state work runs in C. It then decides a library
-with one comparison when no demand vector moves any user's histogram, and only
-a library where some histogram moves is split into (user, own demand) cells. A
-lifted view is one int at fixed field widths::
+tables and ``demand_views(ctx, d)`` gives each user's histogram of views over
+the key draws (a keyless scheme's lone view, as a 1-tuple). The full engine
+decides a library with one comparison when no demand vector moves any user's
+histogram, and only a library where some histogram moves is split into (user,
+own demand) cells. A lifted view is one int at fixed field widths::
 
     (share blocks << share_shift) | (packed Q << pay_shift) | payload
 
 The share blocks are the user's key shares in view order (caches ascending,
 then by label). The packed Q holds column k at bit offset ``N*(K-k)``. The
-payload is the plan's blocks in order, packed here because a view is one int.
-The broadcast depends on keys and demands only through ``Q = r XOR e_d``, so
-per library the engine tabulates ``(Q << pay_shift) | payload`` once for every
-packed Q and reads it through the per-key column of packed ``r``. The key
-columns are built once per instance, from ``KeyMaterial.from_int``;
-every field is cut and joined by the layout kernels of ``model`` (``pack``,
-``split``).
+payload is the plan's blocks in order. The broadcast depends on keys and
+demands only through ``Q = r XOR e_d``, so with ``u_k(x) = shares_k(x) |
+(r(x) << pay_shift)`` over key draws x, user k's view under d is
+``psi(u_k(x) XOR (e_d << pay_shift))``, where ``psi(w) = w | payload(Q field
+of w)``. ``psi`` keeps every bit of w in place and ORs the payload into the
+low field, which w leaves zero, so it is injective. Per library the engine
+therefore tallies ``u_k`` once per user, and reads the histogram under each d
+off that tally by translating its Q field: a keyed histogram is keyed by
+``shares | Q``, with no payload. An injective relabelling moves no histogram
+equality, no count and no first-occurrence order, so no verdict and no MI
+float. The payload, a function of (library, Q), joins only a witness's
+``distinguishing_view``: the engine maps a leaking cell through ``psi``
+(``LiftedInstance.full_view``) before it picks one. The key columns are built
+once per instance, from ``KeyMaterial.from_int``; every field is cut and
+joined by the layout kernels of ``model`` (``pack``, ``split``).
 """
 
 from __future__ import annotations
@@ -66,8 +72,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import chain, combinations, cycle, islice, repeat
-from operator import eq, itemgetter, or_, xor
+from itertools import combinations, repeat
+from operator import itemgetter, or_, xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
@@ -290,9 +296,10 @@ class PrivacyReport:
 
 # --------------------------------------------------------------------------
 # Privacy instances: ``lib_ctx`` maps a library index to per-library tables;
-# ``demand_views(ctx, d)`` gives, per user, that user's views over every key
-# draw. A view leaves out the user's cached content that no key touches, which
-# is fixed within a (library, user) cell and so moves no histogram and no MI.
+# ``demand_views(ctx, d)`` gives, per user, that user's histogram of views over
+# every key draw (a keyless scheme's lone view). A view leaves out the user's
+# cached content that no key touches, which is fixed within a (library, user)
+# cell and so moves no histogram and no MI.
 
 
 def _subfiles(cfg: NetworkConfig, lib: int) -> list[list[int]]:
@@ -326,9 +333,14 @@ class LiftedInstance:
     A view is the int ``(shares << share_shift) | (Q << pay_shift) | payload``:
     the user's key-share blocks in view order, the packed Q (column 1 in the
     top N bits) and the payload blocks in plan order, each field at a fixed
-    width. The payload depends on the keys and demands only through Q, so per
-    library it is one table entry per packed Q. The layout comes from one
-    ``lift_place`` and one ``lift_deliver`` on the zero library, run on first use.
+    width. The payload depends on the keys and demands only through Q, so
+    ``full_view`` (psi) adds it to ``shares | Q`` and nothing else does: psi
+    leaves every other bit in place, so it is injective, and a histogram keyed
+    by ``shares | Q`` decides what the full views decide. Per library each user's
+    ``shares | (r << pay_shift)`` is tallied once over the key draws, and the
+    histogram under d is that tally with ``e_d`` XORed into its Q field. The
+    layout comes from one ``lift_place`` and one ``lift_deliver`` on the zero
+    library, run on first use.
     """
 
     base: NonPrivateScheme
@@ -379,7 +391,8 @@ class LiftedInstance:
 
     @cached_property
     def _key_columns(self) -> tuple[list[list[list[int]]], list[int]]:
-        """``pcol[i-1][a-1][key]`` = p_{i,a} and ``rcol[key]`` = the packed r, over every key draw.
+        """``pcol[i-1][a-1][key]`` = p_{i,a} and ``rcol[key]`` = the packed r in the Q field
+        (shifted by ``pay_shift``), over every key draw.
 
         Built on first use, by the full engine only: the other callers run at
         key counts no column could hold.
@@ -392,38 +405,39 @@ class LiftedInstance:
             for columns, vectors in zip(pcol, keys.p):
                 for column, v in zip(columns, vectors):
                     column.append(v)
-            rcol.append(pack(map(keys.r, range(1, K + 1)), N))
+            rcol.append(pack(map(keys.r, range(1, K + 1)), N) << self.pay_shift)
         return pcol, rcol
 
     def lib_ctx(self, lib: int):
-        """The view base for every packed Q, and each user's shifted share column."""
-        cfg, pay_shift, share_shift = self.cfg, self.pay_shift, self.share_shift
+        """Each user's tally of ``shares | (r << pay_shift)`` over the key draws, and the
+        library's coefficient tables."""
+        cfg, share_shift = self.cfg, self.share_shift
         xors = list(map(self.coeff_table, self.columns(lib)))
-        vcfg, users = virtual_config(cfg), tuple(range(1, cfg.K + 1))
-        table = []
-        for q_packed in range(1 << (cfg.K * cfg.N)):
-            q = split(q_packed, cfg.K, cfg.N)
-            blocks = self.base.blocks(vcfg, users, lambda v, j: xors[j - 1][q[v - 1]])
-            table.append((q_packed << pay_shift) | pack(blocks, cfg.subfile_bits))
-        pcol, _ = self._key_columns
-        share_cols = []
+        pcol, rcol = self._key_columns
+        tallies = []
         for labels in self.shares:
-            col = None
+            col = rcol
             for pos, (i, a, j) in enumerate(labels):
                 # Every value of the block, packed into its slot of the share field.
                 fill = [0] * (len(labels) - 1 - pos)
                 slot = [pack([v, *fill], cfg.subfile_bits) << share_shift for v in xors[j - 1]]
-                block = map(slot.__getitem__, pcol[i - 1][a - 1])
-                col = list(block) if col is None else list(map(or_, col, block))
-            share_cols.append(col)
-        return table, share_cols
+                col = list(map(or_, col, map(slot.__getitem__, pcol[i - 1][a - 1])))
+            tallies.append(Counter(col))
+        return tallies, xors
 
-    def demand_views(self, ctx, demands: tuple[int, ...]):
-        table, share_cols = ctx
-        _, rcol = self._key_columns
-        e_d = pack((1 << (d - 1) for d in demands), self.cfg.N)
-        bases = list(map(table.__getitem__, map(xor, rcol, repeat(e_d))))
-        return [map(or_, col, bases) if col else bases for col in share_cols]
+    def demand_views(self, ctx, demands: tuple[int, ...]) -> list[dict[int, int]]:
+        """Each user's histogram of ``shares | Q`` under ``demands``: its tally with
+        ``e_d`` XORed into the Q field, in the tally's order."""
+        e_d = pack((1 << (d - 1) for d in demands), self.cfg.N) << self.pay_shift
+        return [dict(zip(map(xor, tally, repeat(e_d)), tally.values())) for tally in ctx[0]]
+
+    def full_view(self, ctx, w: int) -> int:
+        """psi: ``w | payload``, the payload of the Q field of ``w``, from the ``blocks``
+        kernel over the virtual files, as ``lift_deliver`` builds it."""
+        cfg, xors = self.cfg, ctx[1]
+        q = split((w >> self.pay_shift) & ((1 << (cfg.K * cfg.N)) - 1), cfg.K, cfg.N)
+        blocks = self.base.blocks(virtual_config(cfg), tuple(range(1, cfg.K + 1)), lambda v, j: xors[j - 1][q[v - 1]])
+        return w | pack(blocks, cfg.subfile_bits)
 
 
 @dataclass(frozen=True)
@@ -452,14 +466,18 @@ class BaselineInstance:
 def _full_engine(inst, budget: int) -> PrivacyReport:
     """Exact privacy check over every (library, key draw, demand vector) state.
 
-    Per library, each demand vector's views are made and tallied at once into
-    its row: each user's histogram of views over the key draws. The library-level
-    test comes first: when every row equals the first, no demand vector moves any
-    user's view distribution, so every (user, own demand) cell of the library is
-    private and the engine goes on to the next library. Only a library that
-    fails it is decided cell by cell: a cell is private when its histograms are
-    all equal, and otherwise adds its MI and, the first time, a witness. Both
-    tests run in C, and a keyed histogram is compared only through ``dict.__eq__``.
+    Per library, each demand vector's row holds every user's histogram of views
+    over the key draws, as the instance gives it: a lifted one reads each from
+    its per-library tally of ``shares | Q`` by translating the Q field (the
+    payload is a function of Q, so leaving it out moves no count), a keyless one
+    gives its lone view. The library-level test comes first: when every row
+    equals the first, no demand vector moves any user's view distribution, so
+    every (user, own demand) cell of the library is private and the engine goes
+    on to the next library. Only a library that fails it is decided cell by
+    cell: a cell is private when its histograms are all equal, and otherwise adds
+    its MI and, the first time, a witness, whose histograms a lifted instance
+    first maps through ``full_view`` so the distinguishing view is the whole
+    view. Both tests compare plain dicts and tuples, in C.
     """
     N, K, lib_bits = inst.cfg.N, inst.cfg.K, inst.cfg.N * inst.cfg.F
     states = (1 << lib_bits) * (1 << inst.key_bits) * N**K
@@ -476,46 +494,30 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
         for di, d in enumerate(demand_list):
             groups.setdefault(d[k0], []).append(di)
         by_dk.append([(d_k, idxs, itemgetter(*idxs)) for d_k, idxs in groups.items()])
-    if inst.key_bits:
-        # Counters hold no zero counts, so plain dict equality is exact, and it runs
-        # in C. Rows are compared histogram by histogram through it: comparing
-        # lists of Counters would run the pure-Python ``Counter.__eq__``.
-        tally, same = Counter, dict.__eq__
-
-        def uniform(rows):
-            return all(map(same, cycle(rows[0]), chain.from_iterable(islice(rows, 1, None))))
-
-    else:
-        # One key draw: a user's histogram is its lone view, the 1-tuple the
-        # instance gives, so the list of them for a demand vector is its row.
-        tally, same = None, eq
-
-        def uniform(rows):
-            return rows.count(rows[0]) == len(rows)
-
+    lifted = isinstance(inst, LiftedInstance)
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     n_cells = (1 << lib_bits) * N
     rows: list = []  # rows[di]: the K histograms under demand vector di
     for lib in range(1 << lib_bits):
         ctx = inst.lib_ctx(lib)
-        views = map(inst.demand_views, repeat(ctx), demand_list)
-        # Each demand's views are tallied as soon as they are made, so one demand's
-        # views are held at a time. Emptying the list before refilling it keeps the
-        # last library's rows from being held next to this one's.
+        # Emptying the list before refilling it keeps the last library's rows from
+        # being held next to this one's.
         rows.clear()
-        rows.extend(map(list, map(map, repeat(tally), views)) if tally else views)
-        if uniform(rows):
+        rows.extend(map(inst.demand_views, repeat(ctx), demand_list))
+        if rows.count(rows[0]) == len(rows):
             continue
         for k0, column in enumerate(zip(*rows)):
             for d_k, idxs, pick in by_dk[k0]:
                 group = pick(column)
-                if all(map(same, repeat(group[0]), group)):
+                if group.count(group[0]) == len(group):
                     continue
                 cell = [(rest[k0][i], Counter(h)) for i, h in zip(idxs, group)]
                 joint = {(r, v): c for r, counts in cell for v, c in counts.items()}
                 mi_sum[k0] = mi_sum[k0] + mutual_information_exact(joint)
                 if witness[k0] is None:
+                    if lifted:
+                        cell = [(r, Counter({inst.full_view(ctx, v): c for v, c in h.items()})) for r, h in cell]
                     witness[k0] = _find_witness(cell, lib, d_k)
     report = PrivacyReport("full", states)
     for k0 in range(K):

@@ -45,7 +45,9 @@ def factored_sweep_ops() -> list[tuple[str, str, str]]:
 
 # (workload, operation id, the privacy engine it must run or None)
 CHEAP_OPS = [
+    ("verify-keyed", "keyed/lifted-example1-N2-F3", "full"),
     ("verify-keyless", "keyless/example1-N2-leak", "full"),
+    ("privacy-sweep", "sweep/K3-L2-tp0-off1", "full"),
     ("privacy-sweep", "sweep/K3-L1-tp1-off1", "full"),
     ("privacy-sweep", "sweep/K3-L2-tp1-off1", "full"),
     *factored_sweep_ops(),

@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -312,3 +315,14 @@ def test_verify_report_is_pinned(golden, capsys):
     rc = main(golden["command"].split())
     captured = capsys.readouterr()
     assert (rc, captured.out, captured.err) == (golden["exit"], golden["stdout"], "")
+
+
+def test_python_m_macc_runs_from_the_source_tree():
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "macc", "private-set", "--K", "7", "--L", "5"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)

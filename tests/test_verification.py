@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, lru_cache, partial
 from itertools import combinations
 from operator import eq
 
@@ -823,6 +823,61 @@ def test_full_engine_matches_lifting_code_reference(L, private):
             assert mi == pytest.approx(0.5, abs=1e-12)
 
 
+@cache
+def _key_draws(K, t, N):
+    return [KeyMaterial.from_int(K, t, N, x) for x in range(1 << (K * t * N))]
+
+
+@lru_cache(maxsize=1)  # callers walk libraries in order
+def _per_key_fields(inst, lib):
+    """Library ``lib``'s ``T[Q] = (Q << pay_shift) | payload`` for every packed Q (the
+    payload from the ``blocks`` kernel over the virtual files), the packed r of every
+    key draw, and each user's ``shares << share_shift`` of every key draw."""
+    cfg = inst.cfg
+    K, N, b = cfg.K, cfg.N, cfg.subfile_bits
+    xors = [[coeff_xor(coeff, column) for coeff in range(1 << N)] for column in inst.columns(lib)]
+    users = tuple(range(1, K + 1))
+    table = []
+    for q_packed in range(1 << (K * N)):
+        q = split(q_packed, K, N)
+        blocks = inst.base.blocks(virtual_config(cfg), users, lambda v, j: xors[j - 1][q[v - 1]])
+        table.append((q_packed << inst.pay_shift) | pack(blocks, b))
+    draws = _key_draws(K, inst.t, N)
+    rs = [pack(map(keys.r, users), N) for keys in draws]
+    shares = [
+        [pack((xors[j - 1][keys.p[i - 1][a - 1]] for i, a, j in labels), b) << inst.share_shift for keys in draws]
+        for labels in inst.shares
+    ]
+    return table, rs, shares
+
+
+def _per_key_views(inst, lib, d):
+    """Each user's full view int for every key draw, in key index order, made key by key:
+    ``(shares << share_shift) | T[r XOR e_d]``. This is the full engine's view formula
+    before it tallied each user's key draws once per library."""
+    table, rs, shares = _per_key_fields(inst, lib)
+    e_d = pack((1 << (x - 1) for x in d), inst.cfg.N)
+    return [[s | table[r ^ e_d] for s, r in zip(column, rs)] for column in shares]
+
+
+def _lifting_code_views(inst, library, keys, demands):
+    """Each user's view int, field by field from ``lift_place`` and ``lift_deliver``:
+    its key shares (caches ascending, then by label), the packed Q and the payload."""
+    cfg, b = inst.cfg, inst.cfg.subfile_bits
+    placement = lift_place(inst.base, cfg, inst.offsets, library, keys, enforce_private=False)
+    tx = lift_deliver(inst.base, cfg, keys, library, demands)
+    q = pack(tx.q_columns, cfg.N)
+    views = []
+    for k in range(1, cfg.K + 1):
+        shares = 0
+        for c in sorted(accessible_caches(k, cfg)):
+            for label, v in placement[c - 1].items():
+                if label[0] == "S":
+                    shares = (shares << b) | v
+        views.append((shares << inst.share_shift) | (q << inst.pay_shift) | pack(tx.blocks, b))
+    return views
+
+
 @pytest.mark.parametrize(
     "base, cfg, offsets",
     [
@@ -833,7 +888,8 @@ def test_full_engine_matches_lifting_code_reference(L, private):
 )
 def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
     """Every field of the full engine's view int, payload and Q included, is read off
-    ``lift_place``/``lift_deliver``: verdicts alone cannot see a field the others determine."""
+    ``lift_place``/``lift_deliver``: verdicts alone cannot see a field the others determine.
+    The engine's histogram holds ``shares | Q`` of the state, and ``full_view`` adds the payload."""
     en = LiftedInstance(base, cfg, offsets)
     K, N, b = cfg.K, cfg.N, cfg.subfile_bits
     rng = random.Random(6)
@@ -843,20 +899,49 @@ def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
         demands = tuple(rng.randint(1, N) for _ in range(K))
         library = library_from_int(N, cfg.subfiles_per_file, b, lib_index)
         keys = KeyMaterial.from_int(K, len(offsets), N, key_index)
-        placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
-        tx = lift_deliver(base, cfg, keys, library, demands)
-        q = 0
-        for column in tx.q_columns:
-            q = (q << N) | column
-        views = en.demand_views(en.lib_ctx(lib_index), demands)
-        for k, user_views in enumerate(views, 1):
-            shares = 0
-            for c in sorted(accessible_caches(k, cfg)):
-                for label, v in placement[c - 1].items():
-                    if label[0] == "S":
-                        shares = (shares << b) | v
-            want = (shares << en.share_shift) | (q << en.pay_shift) | pack(tx.blocks, b)
-            assert list(user_views)[key_index] == want
+        want = _lifting_code_views(en, library, keys, demands)
+        reference = _per_key_views(en, lib_index, demands)
+        ctx = en.lib_ctx(lib_index)
+        hists = en.demand_views(ctx, demands)
+        for k in range(K):
+            assert reference[k][key_index] == want[k]
+            partial = want[k] >> en.pay_shift << en.pay_shift  # shares | Q, payload cleared
+            assert hists[k][partial] > 0 and sum(hists[k].values()) == 1 << en.key_bits
+            assert en.full_view(ctx, partial) == want[k]
+
+
+@st.composite
+def small_lifted(draw):
+    """A lifted cyclic-uncoded instance at N = 2 with 1-bit subfiles, and one of its libraries.
+
+    Offsets are one random cache or, at K = 2, the naive ``(1, L)``: at most 8 key bits.
+    """
+    K = draw(st.integers(2, 3))
+    L = draw(st.integers(1, K - 1))
+    tp = draw(st.integers(0, K // L))
+    single = st.tuples(st.integers(1, K))
+    offsets = draw(st.one_of(single, st.just((1, L))) if K == 2 else single)
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(K, L, 2, K, K), offsets)
+    return inst, draw(st.integers(0, (1 << (2 * K)) - 1))
+
+
+@settings(max_examples=6, deadline=None)
+@given(small_lifted())
+def test_full_engine_histograms_are_the_lifting_code_views(drawn):
+    inst, lib = drawn
+    cfg = inst.cfg
+    library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, lib)
+    demand_list = list(all_demand_vectors(cfg.N, cfg.K))
+    want = {d: [Counter() for _ in range(cfg.K)] for d in demand_list}
+    for keys in _key_draws(cfg.K, inst.t, cfg.N):
+        for d in demand_list:
+            for tally, view in zip(want[d], _lifting_code_views(inst, library, keys, d)):
+                tally[view] += 1
+    ctx = inst.lib_ctx(lib)
+    for d in demand_list:
+        hists = inst.demand_views(ctx, d)
+        assert [Counter({inst.full_view(ctx, w): c for w, c in h.items()}) for h in hists] == want[d]
+    assert repr(verify_privacy_exact(inst, engine="full")) == repr(_per_state_full_engine(inst))
 
 
 def test_users_missing_no_subfile_need_no_key_shares():
@@ -878,7 +963,8 @@ def test_users_missing_no_subfile_need_no_key_shares():
 
 def _per_state_full_engine(en):
     """The full engine as a per-cell loop: every (user, own demand) cell of every
-    library is compared histogram by histogram, with no library-level test."""
+    library is compared histogram by histogram, with no library-level test. A lifted
+    user's histogram counts its full views key draw by key draw (``_per_key_views``)."""
     N, K, lib_bits = en.cfg.N, en.cfg.K, en.cfg.N * en.cfg.F
     states = (1 << lib_bits) * (1 << en.key_bits) * N**K
     demand_list = list(all_demand_vectors(N, K))
@@ -889,15 +975,16 @@ def _per_state_full_engine(en):
         for di, d in enumerate(demand_list):
             groups.setdefault(d[k0], []).append(di)
         by_dk.append(list(groups.items()))
-    tally, same = (Counter, dict.__eq__) if en.key_bits else (tuple, eq)
+    lifted = isinstance(en, LiftedInstance)
+    tally, same = (Counter, dict.__eq__) if lifted else (tuple, eq)
     mi_sum = [Fraction(0)] * K
     witness = [None] * K
     n_cells = (1 << lib_bits) * N
     for lib in range(1 << lib_bits):
-        ctx = en.lib_ctx(lib)
+        ctx = None if lifted else en.lib_ctx(lib)
         hists = [[] for _ in range(K)]
         for d in demand_list:
-            for h, views in zip(hists, en.demand_views(ctx, d)):
+            for h, views in zip(hists, _per_key_views(en, lib, d) if lifted else en.demand_views(ctx, d)):
                 h.append(tally(views))
         for k0, h in enumerate(hists):
             for d_k, idxs in by_dk[k0]:
@@ -957,6 +1044,24 @@ def test_full_engine_matches_per_state_loop(inst, private):
     report = verify_privacy_exact(inst, engine="full")
     assert repr(report) == repr(_per_state_full_engine(inst))
     assert report.private == private
+
+
+@pytest.mark.parametrize(
+    "L, tp, private, most",
+    [(1, 1, True, 1), (2, 0, False, 4096)],
+    ids=["K3-L1-tp1-private", "K3-L2-tp0-leak"],
+)
+def test_full_engine_makes_no_payload_per_q(monkeypatch, L, tp, private, most):
+    # A private lifted instance needs one payload, the layout's ``lift_deliver``; a leak
+    # adds one per distinct view of the cells its witnesses map, never one per packed Q
+    # per library (4,097 here).
+    calls = []
+    real = macc.schemes.NonPrivateScheme.blocks
+    monkeypatch.setattr(macc.schemes.NonPrivateScheme, "blocks", lambda *a: calls.append(1) or real(*a))
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(3, L, 2, 3, 3), (1,))
+    report = verify_privacy_exact(inst, engine="full")
+    assert report.private == private
+    assert 1 <= len(calls) <= most
 
 
 def test_full_engine_makes_every_library_and_demand_view(monkeypatch):
