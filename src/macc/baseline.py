@@ -1,8 +1,10 @@
 """Baseline demand-private scheme: AIR-coded placement plus a demand-independent broadcast.
 
-Every file splits into a coded-cached part (L equal pieces, encoded by a K x L
-AIR matrix into one block per cache) and a broadcast remainder. Delivery never
-looks at the demands, so privacy is structural; every user decodes all N files.
+Every file of the ``SubfileLibrary`` (one F-bit subfile, as ``BaselineParams.cfg``
+says) splits into a coded-cached part (L equal pieces, encoded by a K x L AIR
+matrix into one block per cache) and a broadcast remainder. The broadcast is one
+remainder per file, a block tuple that never looks at the demands, so privacy is
+structural; from it and its window every user decodes all N files, as ints.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import cached_property
 from typing import Sequence, Union
 
 from .gf2 import build_air, coeff_xor, gf2_solve_window
-from .model import Bits, NetworkConfig, PlacementState, accessible_caches, cached_block, pack, split
+from .model import Cache, NetworkConfig, PlacementState, SubfileLibrary, accessible_caches, pack, split
 
 
 @dataclass(frozen=True)
@@ -55,54 +57,47 @@ class BaselineParams:
     def rate(self) -> Fraction:
         return self.N - self.L * self.M
 
-    def check_files(self, files: Sequence[Bits]) -> None:
-        if len(files) != self.N or any(f.n != self.F for f in files):
-            raise ValueError(f"expected {self.N} files of {self.F} bits")
 
-
-def baseline_place(params: BaselineParams, files: Sequence[Bits]) -> PlacementState:
+def baseline_place(params: BaselineParams, library: SubfileLibrary) -> PlacementState:
     """Cache k holds, for every file n, the AIR-coded block ``("C", n, k)`` over the file's
     L cached pieces."""
-    params.check_files(files)
+    library.check_fits(params.cfg)
     air = build_air(params.K, params.L)
     # A file is its L cached pieces, then the broadcast remainder in the low bits.
-    pieces = [split(split(f.v, 2, params.broadcast_bits)[0], params.L, params.part_bits) for f in files]
+    pieces = [split(split(f, 2, params.broadcast_bits)[0], params.L, params.part_bits) for f in library.column(1)]
     return tuple(
         {("C", n, k): coeff_xor(air.rows[k - 1], parts) for n, parts in enumerate(pieces, 1)}
         for k in range(1, params.K + 1)
     )
 
 
-def baseline_broadcast(params: BaselineParams, files: Sequence[int]) -> int:
-    """The uncached remainder (the low ``broadcast_bits``) of every file int, packed in file order."""
-    return pack((split(f, 2, params.broadcast_bits)[1] for f in files), params.broadcast_bits)
+def baseline_broadcast(params: BaselineParams, files: Sequence[int]) -> tuple[int, ...]:
+    """The uncached remainder (the low ``broadcast_bits``) of every file int, in file order."""
+    # From a list, not a generator: ``tuple`` then allocates the exact size. Over-allocating
+    # and shrinking once per enumerated library fills CPython's free list of small tuples.
+    return tuple([split(f, 2, params.broadcast_bits)[1] for f in files])
 
 
-def baseline_deliver(params: BaselineParams, files: Sequence[Bits]) -> tuple[Bits, Fraction]:
-    """Broadcast the uncached remainder of every file, in file order; demand-independent."""
-    params.check_files(files)
-    payload = baseline_broadcast(params, [f.v for f in files])
-    return Bits(len(files) * params.broadcast_bits, payload), params.rate
+def baseline_deliver(params: BaselineParams, library: SubfileLibrary) -> tuple[tuple[int, ...], Fraction]:
+    """The broadcast's block tuple (every file's remainder) and its rate; demand-independent."""
+    library.check_fits(params.cfg)
+    return baseline_broadcast(params, library.column(1)), params.rate
 
 
-def baseline_decode(
-    params: BaselineParams, k: int, payload: Bits, placement: PlacementState
-) -> list[Bits]:
-    """Reconstruct all N files from user k's L coded cache blocks plus the broadcast."""
-    if payload.n != params.N * params.broadcast_bits:
+def baseline_decode(params: BaselineParams, k: int, blocks: Sequence[int], window: Cache) -> tuple[int, ...]:
+    """All N files as ints, from the broadcast ``blocks`` and the L coded blocks in user k's
+    ``window`` (what ``cached_block`` returns)."""
+    if len(blocks) != params.N:
         raise ValueError(
-            f"user {k} got a {payload.n}-bit payload, the broadcast sends"
+            f"user {k} got {len(blocks)} payload blocks, the broadcast sends"
             f" {params.N} remainders of {params.broadcast_bits} bits"
         )
-    air, cfg = build_air(params.K, params.L), params.cfg
-    cached, window = cached_block(cfg, k, placement), accessible_caches(k, cfg)
-    remainders = split(payload.v, params.N, params.broadcast_bits)
-    out = []
-    for n, rest in enumerate(remainders, 1):
-        rhs = [Bits(params.part_bits, cached["C", n, c]) for c in window]
-        head = pack((part.v for part in gf2_solve_window(air, k, rhs)), params.part_bits)
-        out.append(Bits(params.F, pack((head, rest), params.broadcast_bits)))
-    return out
+    air, caches = build_air(params.K, params.L), accessible_caches(k, params.cfg)
+    files = []
+    for n, rest in enumerate(blocks, 1):
+        head = pack(gf2_solve_window(air, k, [window["C", n, c] for c in caches]), params.part_bits)
+        files.append(pack((head, rest), params.broadcast_bits))
+    return tuple(files)
 
 
 def memory_grid_file_size(N: int, L: int, grid: Sequence[Union[Fraction, int]]) -> int:

@@ -156,9 +156,8 @@ def cmd_tradeoff(args) -> int:
             except ValueError as e:
                 print(f"skipping M={M}: {e}", file=sys.stderr)
                 continue
-            files = [random_library(1, F, 1, DEFAULT_SEED + n).file(1) for n in range(args.N)]
-            payload, _ = baseline_deliver(params, files)
-            rate = Fraction(payload.n, F)
+            blocks, _ = baseline_deliver(params, random_library(args.N, F, 1, DEFAULT_SEED))
+            rate = Fraction(len(blocks) * params.broadcast_bits, F)
             if rate != params.N - params.L * M:
                 print(f"verification failed: M={M}: the broadcast takes {rate} files, not N - L*M", file=sys.stderr)
                 return 1

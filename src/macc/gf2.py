@@ -1,6 +1,7 @@
 """GF(2) vector/matrix kernels and adjacent-independent-row (AIR) matrices.
 
-Rows are stored as int bitmasks; bit c (1 << c) is column c, 0-based.
+Rows are stored as int bitmasks; bit c (1 << c) is column c, 0-based. The blocks
+that ``coeff_xor`` and ``gf2_solve_window`` combine are ints too.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import xor
 from typing import Iterable, Mapping, Sequence
-
-from .model import Bits
 
 
 @dataclass(frozen=True)
@@ -164,15 +163,12 @@ def _window_inverse(m: Gf2Matrix, window_start: int) -> tuple[int, ...]:
     return tuple(invert_square(_window_rows(m, window_start), m.cols))
 
 
-def gf2_solve_window(m: Gf2Matrix, window_start: int, rhs: Sequence[Bits]) -> list[Bits]:
+def gf2_solve_window(m: Gf2Matrix, window_start: int, rhs: Sequence[int]) -> list[int]:
     """Solve B x = rhs for the L x L window B of rows starting at `window_start` (1-based).
 
-    rhs[i] is the coded block held by the window's i-th cache; the result is the
-    L uncoded blocks whose encoding by the window rows reproduces rhs.
+    rhs[i] is the int coded block held by the window's i-th cache; the result is the
+    L uncoded block ints whose encoding by the window rows reproduces rhs.
     """
     if len(rhs) != m.cols:
         raise ValueError(f"expected {m.cols} coded blocks, got {len(rhs)}")
-    if len({block.n for block in rhs}) != 1:
-        raise ValueError("coded blocks differ in length")
-    blocks = [block.v for block in rhs]
-    return [Bits(rhs[0].n, coeff_xor(row, blocks)) for row in _window_inverse(m, window_start)]
+    return [coeff_xor(row, rhs) for row in _window_inverse(m, window_start)]

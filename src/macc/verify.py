@@ -3,9 +3,10 @@
 A decodability round trip does only the decoding. A runner places (and merges
 each user's window) once per placement. Each scheme kind has one delivery and one
 decoder: the payload reaches the decoders as its block tuple, and each decoder
-returns its user's file as a tuple of subfile ints, so no round trip packs or
-cuts a payload or a file. The sweep cuts each demanded file once into as many
-fields as a returned tuple holds, and compares tuples.
+reads its user's window and returns ints, so no round trip packs or cuts a
+payload or a file. The sweep cuts each demanded file once into as many fields as
+a returned tuple holds, and compares tuples. ``Bits`` appears only in the files
+``verify_decodability`` and ``make_baseline_runner`` take.
 
 Privacy is checked in the conditional form: fix the library realization w and
 the user's own demand, then compare the view distribution (over uniform key
@@ -219,9 +220,11 @@ def make_nonprivate_runner(
 
 def make_baseline_runner(params: BaselineParams, files: Sequence[Bits]) -> Runner:
     """Placement, broadcast and each user's N decoded files are fixed, so all are made once."""
-    placement = baseline_place(params, files)
-    payload, _ = baseline_deliver(params, files)
-    decoded = [[(f.v,) for f in baseline_decode(params, k, payload, placement)] for k in range(1, params.K + 1)]
+    library = SubfileLibrary(tuple((f,) for f in files))  # each file one subfile
+    placement = baseline_place(params, library)
+    blocks, _ = baseline_deliver(params, library)
+    windows = [cached_block(params.cfg, k, placement) for k in range(1, params.K + 1)]
+    decoded = [[(f,) for f in baseline_decode(params, k, blocks, w)] for k, w in enumerate(windows, 1)]
 
     def run(seed, demands):
         return [own[d - 1] for own, d in zip(decoded, demands)]
@@ -442,7 +445,7 @@ class LiftedInstance:
 
 @dataclass(frozen=True)
 class BaselineInstance:
-    """The baseline: the broadcast alone, the same for every user and demand."""
+    """The baseline: the broadcast's block tuple alone, the same for every user and demand."""
 
     params: BaselineParams
     key_bits = 0

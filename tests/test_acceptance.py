@@ -10,7 +10,6 @@ from fractions import Fraction
 from macc import (
     BaselineInstance,
     BaselineParams,
-    Bits,
     KeyMaterial,
     LiftedInstance,
     NetworkConfig,
@@ -57,15 +56,13 @@ def test_criterion_1_baseline_rate_identity():
                     F = N * L
                     for M in range(N // L + 1):
                         p = BaselineParams(K, L, N, F, Fraction(M))
-                        files = [
-                            random_library(1, F, 1, 1000 * K + 10 * L + n).file(1)
-                            for n in range(N)
-                        ]
-                        payload, _ = baseline_deliver(p, files)
-                        assert Fraction(payload.n, F) == N - L * M
-                        placement = baseline_place(p, files)
+                        lib = random_library(N, F, 1, 1000 * K + 10 * L)
+                        blocks, _ = baseline_deliver(p, lib)
+                        assert Fraction(len(blocks) * p.broadcast_bits, F) == N - L * M
+                        placement = baseline_place(p, lib)
                         for k in range(1, K + 1):
-                            assert baseline_decode(p, k, payload, placement) == files
+                            window = cached_block(p.cfg, k, placement)
+                            assert baseline_decode(p, k, blocks, window) == tuple(lib.column(1))
 
     report(1, checks)
 
@@ -200,10 +197,10 @@ def test_criterion_7_air_sweep():
                 m = build_air(K, L)
                 for trial in range(100):
                     lib = random_library(1, 4 * L, L, seed=K * 10000 + L * 100 + trial)
-                    pieces = [lib.subfile(1, c + 1) for c in range(L)]
+                    pieces = [lib.subfile(1, c + 1).v for c in range(L)]
                     coded = []
                     for r in range(K):
-                        acc = Bits.zeros(4)
+                        acc = 0
                         for c in range(L):
                             if m.entry(r, c):
                                 acc ^= pieces[c]

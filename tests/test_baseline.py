@@ -4,17 +4,24 @@ import pytest
 
 from macc import (
     BaselineParams,
-    Bits,
     baseline_decode,
     baseline_deliver,
     baseline_place,
+    library_from_int,
     memory_grid_file_size,
     random_library,
 )
+from macc.model import cached_block
 
 
-def make_files(N, F, seed):
-    return [random_library(1, F, 1, seed + n).file(1) for n in range(N)]
+def make_library(N, F, seed):
+    """N files of one F-bit subfile each."""
+    return random_library(N, F, 1, seed)
+
+
+def decode_all(p, k, blocks, placement):
+    """User k's N decoded files, read from its window of ``placement``."""
+    return baseline_decode(p, k, blocks, cached_block(p.cfg, k, placement))
 
 
 def test_params_validation():
@@ -39,7 +46,7 @@ def test_bit_accounting():
 
 def test_placement_size_matches_memory():
     p = BaselineParams(5, 3, 2, 30, Fraction(2, 3))
-    placement = baseline_place(p, make_files(2, 30, 0))
+    placement = baseline_place(p, make_library(2, 30, 0))
     # Each cache: one coded block per file, each of part_bits.
     for c, cache in enumerate(placement, 1):
         assert list(cache) == [("C", n, c) for n in range(1, p.N + 1)]
@@ -49,12 +56,13 @@ def test_placement_size_matches_memory():
 
 def test_delivery_is_demand_independent_and_sized():
     p = BaselineParams(4, 2, 3, 12, Fraction(1))
-    files = make_files(3, 12, 3)
-    payload, rate = baseline_deliver(p, files)
+    lib = make_library(3, 12, 3)
+    blocks, rate = baseline_deliver(p, lib)
     assert rate == p.rate == 1
-    assert payload.n == rate * p.F
+    assert len(blocks) == p.N and all(0 <= b < 1 << p.broadcast_bits for b in blocks)
+    assert len(blocks) * p.broadcast_bits == rate * p.F
     # No demand argument exists at all; re-delivery is bit-identical.
-    assert baseline_deliver(p, files)[0] == payload
+    assert baseline_deliver(p, lib)[0] == blocks
 
 
 def test_every_user_recovers_every_file():
@@ -62,46 +70,48 @@ def test_every_user_recovers_every_file():
         M = Fraction(N, 2 * L)  # half the maximum N/L
         F = memory_grid_file_size(N, L, [M])
         p = BaselineParams(K, L, N, F, M)
-        files = make_files(N, F, seed=K * 7 + L)
-        placement = baseline_place(p, files)
-        payload, _ = baseline_deliver(p, files)
+        lib = make_library(N, F, seed=K * 7 + L)
+        placement = baseline_place(p, lib)
+        blocks, _ = baseline_deliver(p, lib)
         for k in range(1, K + 1):
-            assert baseline_decode(p, k, payload, placement) == files
+            assert decode_all(p, k, blocks, placement) == tuple(lib.column(1))
 
 
 def test_extreme_memory_points():
     # M = 0: nothing cached, the whole library is broadcast.
     p0 = BaselineParams(3, 2, 2, 6, Fraction(0))
-    files = make_files(2, 6, 9)
-    payload, rate = baseline_deliver(p0, files)
-    assert rate == 2 and payload.n == 12
-    placement = baseline_place(p0, files)
-    assert baseline_decode(p0, 2, payload, placement) == files
+    lib = make_library(2, 6, 9)
+    files = tuple(lib.column(1))
+    blocks, rate = baseline_deliver(p0, lib)
+    assert rate == 2 and blocks == files
+    placement = baseline_place(p0, lib)
+    assert decode_all(p0, 2, blocks, placement) == files
     # M = N/L: zero-rate corner, everything comes from the caches.
     p1 = BaselineParams(3, 2, 2, 6, Fraction(1))
-    payload, rate = baseline_deliver(p1, files)
-    assert rate == 0 and payload.n == 0
-    placement = baseline_place(p1, files)
+    blocks, rate = baseline_deliver(p1, lib)
+    assert rate == 0 and p1.broadcast_bits == 0 and blocks == (0, 0)
+    placement = baseline_place(p1, lib)
     for k in (1, 2, 3):
-        assert baseline_decode(p1, k, payload, placement) == files
+        assert decode_all(p1, k, blocks, placement) == files
 
 
 def test_rate_identity_measured():
     for M in [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]:
         F = memory_grid_file_size(2, 2, [M])
         p = BaselineParams(4, 2, 2, F, M)
-        files = make_files(2, F, 4)
-        payload, _ = baseline_deliver(p, files)
-        assert Fraction(payload.n, F) == 2 - 2 * M
+        blocks, _ = baseline_deliver(p, make_library(2, F, 4))
+        assert Fraction(len(blocks) * p.broadcast_bits, F) == 2 - 2 * M
 
 
 def test_place_rejects_wrong_files():
     p = BaselineParams(3, 2, 2, 6, Fraction(1))
     for entry in (baseline_place, baseline_deliver):
-        with pytest.raises(ValueError):
-            entry(p, [Bits.zeros(6)])
-        with pytest.raises(ValueError):
-            entry(p, [Bits.zeros(5), Bits.zeros(5)])
+        with pytest.raises(ValueError, match="does not fit"):
+            entry(p, library_from_int(1, 1, 6, 0))  # one file, not two
+        with pytest.raises(ValueError, match="does not fit"):
+            entry(p, library_from_int(2, 1, 5, 0))  # 5-bit files, not 6
+        with pytest.raises(ValueError, match="does not fit"):
+            entry(p, library_from_int(2, 2, 3, 0))  # two subfiles per file, not one
 
 
 def test_memory_grid_file_size():
@@ -111,14 +121,15 @@ def test_memory_grid_file_size():
         BaselineParams(4, 2, 3, F, M)  # constructor validates integrality
 
 
-@pytest.mark.parametrize("bits", [23, 8], ids=["one-bit-short", "one-remainder"])
-def test_decode_refuses_a_payload_of_the_wrong_length(bits):
-    # Three 8-bit remainders make a 24-bit broadcast; any other length is refused,
-    # not decoded into wrong files.
+@pytest.mark.parametrize("count", [2, 4], ids=["one-block-short", "one-block-extra"])
+def test_decode_refuses_a_payload_of_the_wrong_length(count):
+    # The broadcast is three remainders, one per file; any other block count is
+    # refused, not decoded into wrong files.
     p = BaselineParams(4, 2, 3, 24, Fraction(1))
-    files = make_files(3, 24, 3)
-    placement = baseline_place(p, files)
-    payload, _ = baseline_deliver(p, files)
-    assert baseline_decode(p, 2, payload, placement) == files
+    lib = make_library(3, 24, 3)
+    placement = baseline_place(p, lib)
+    blocks, _ = baseline_deliver(p, lib)
+    assert decode_all(p, 2, blocks, placement) == tuple(lib.column(1))
+    wrong = (blocks + blocks)[:count]
     with pytest.raises(ValueError, match="user 2"):
-        baseline_decode(p, 2, Bits(bits, payload.v >> (payload.n - bits)), placement)
+        decode_all(p, 2, wrong, placement)

@@ -6,6 +6,9 @@ operation here goes through ``bench/workloads.py`` and its ``check`` against
 ``bench/expected.json``; nothing under ``bench/`` is written.
 """
 
+import json
+import os
+import subprocess
 import sys
 import types
 from functools import cache
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
 
 
 @cache
@@ -64,3 +68,46 @@ def test_benchmark_op_passes_its_check(workload, op_id, engine):
     obs = ops(workload)[op_id].run()
     assert bench.check(bench.load_expected()[op_id], obs) == []
     assert obs.get("engine") == engine
+
+
+# One cheap operation of every workload, run under the layer tracer.
+TRACED_OPS = [
+    ("verify-keyed", "keyed/lifted-example1-N2-F3"),
+    ("verify-keyless", "keyless/example1-N2-leak"),
+    ("privacy-sweep", "sweep/K3-L2-tp0-off1"),
+    ("simulate", "sim/lifted-example1-N4"),
+    ("simulate", "sim/baseline-K7-L3-N3-M1/2"),
+    ("simulate", "sim/attack-naive-K4-L3-N3"),
+]
+
+TRACED_RUN = """
+import json, sys
+import macc
+import workloads
+import tracer
+
+t = tracer.Tracer()
+t.install(macc)
+expected = workloads.load_expected()
+for workload, op_id in json.loads(sys.argv[1]):
+    op = next(op for op in workloads.WORKLOADS[workload](7) if op.id == op_id)
+    problems = workloads.check(expected[op_id], op.run())
+    if problems:
+        raise SystemExit(f"{op_id}: {problems}")
+print(json.dumps(t.layer_metrics()))
+"""
+
+
+def test_traced_ops_pass_their_checks():
+    # A traced benchmark run installs ``bench/tracer.py`` before it makes its inputs,
+    # and the tracer replaces names the untraced runs never touch (``Bits.__xor__``,
+    # every public ``macc`` function). This runs one process the way ``worker.py``
+    # does: import ``workloads``, then install the tracer, then build and run the ops.
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join([str(BENCH), str(SRC)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, json.dumps(TRACED_OPS)], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    layers = json.loads(proc.stdout.strip().splitlines()[-1])
+    # The baseline runner decodes once per user, through the public decoder the tracer wraps.
+    assert layers["baseline.decode.calls"] == 7

@@ -12,7 +12,6 @@ import pytest
 
 import macc.cli
 import macc.verify
-from macc import Bits
 from macc.cli import build_parser, main
 
 
@@ -132,9 +131,9 @@ def test_tradeoff_baseline_broadcast_off_the_rate_identity_exits_one(capsys, mon
     # A broadcast one remainder longer than N - L*M files is a verification failure.
     real = macc.cli.baseline_deliver
 
-    def one_more_block(params, files):
-        payload, rate = real(params, files)
-        return Bits(payload.n + params.broadcast_bits, payload.v), rate
+    def one_more_block(params, library):
+        blocks, rate = real(params, library)
+        return blocks + (0,), rate
 
     monkeypatch.setattr(macc.cli, "baseline_deliver", one_more_block)
     args = ["tradeoff", "--scheme", "baseline-private", "--K", "4", "--L", "2", "--N", "2", "--memory-grid", "1/2"]

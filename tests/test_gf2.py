@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macc import (
-    Bits,
     Gf2Matrix,
     build_air,
     check_air,
@@ -107,10 +106,10 @@ def test_solve_window_round_trip():
     for K, L in [(3, 2), (5, 3), (7, 5), (6, 3), (8, 4)]:
         m = build_air(K, L)
         lib = random_library(1, 4 * L, L, seed=K * 100 + L)
-        pieces = [lib.subfile(1, c + 1) for c in range(L)]
+        pieces = [lib.subfile(1, c + 1).v for c in range(L)]
         coded = []
         for r in range(K):
-            acc = Bits.zeros(4)
+            acc = 0
             for c in range(L):
                 if m.entry(r, c):
                     acc ^= pieces[c]

@@ -384,15 +384,17 @@ def test_lift_decode_refuses_a_missing_key_share():
 
 def test_baseline_decoder_reads_only_its_users_caches():
     p = BaselineParams(5, 3, 3, 27, Fraction(1, 3))
-    files = [random_library(1, p.F, 1, 70 + n).file(1) for n in range(p.N)]
-    placement = baseline_place(p, files)
-    payload, _ = baseline_deliver(p, files)
+    lib = random_library(p.N, p.F, 1, 70)
+    placement = baseline_place(p, lib)
+    blocks, _ = baseline_deliver(p, lib)
     for k in range(1, p.K + 1):
-        window = accessible_caches(k, NetworkConfig(p.K, p.L, p.N, p.F, 1))
-        assert baseline_decode(p, k, payload, _keep_caches(placement, window)) == files
+        window = accessible_caches(k, p.cfg)
+        kept = cached_block(p.cfg, k, _keep_caches(placement, window))
+        assert baseline_decode(p, k, blocks, kept) == tuple(lib.column(1))
         for c in window:
+            dropped = cached_block(p.cfg, k, _keep_caches(placement, set(window) - {c}))
             with pytest.raises(LookupError, match=rf"C_\{{\d+,{c}\}} not in user {k}'s caches"):
-                baseline_decode(p, k, payload, _keep_caches(placement, set(window) - {c}))
+                baseline_decode(p, k, blocks, dropped)
 
 
 def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
@@ -550,14 +552,15 @@ def test_runner_kernels_are_the_public_decoders():
                 for k in range(1, cfg.K + 1):
                     assert got[k - 1] == lift_decode(base, cfg, offsets, k, tx, cached_block(cfg, k, lifted), d[k - 1])
     p = BaselineParams(4, 2, 3, 24, Fraction(1))
-    files = [random_library(1, p.F, 1, 40 + n).file(1) for n in range(p.N)]
-    payload, _ = baseline_deliver(p, files)
-    public = [baseline_decode(p, k, payload, baseline_place(p, files)) for k in range(1, p.K + 1)]
-    run = make_baseline_runner(p, files)
+    lib = random_library(p.N, p.F, 1, 40)
+    blocks, _ = baseline_deliver(p, lib)
+    placement = baseline_place(p, lib)
+    public = [baseline_decode(p, k, blocks, cached_block(p.cfg, k, placement)) for k in range(1, p.K + 1)]
+    run = make_baseline_runner(p, [lib.file(n) for n in range(1, p.N + 1)])
     for d in all_demand_vectors(p.N, p.K):
         got = run(None, d)
         for k in range(1, p.K + 1):
-            assert got[k - 1] == tuple(split(public[k - 1][d[k - 1] - 1].v, 1, p.F))
+            assert got[k - 1] == tuple(split(public[k - 1][d[k - 1] - 1], 1, p.F))
 
 
 def test_runners_merge_each_window_once_per_placement(monkeypatch):
