@@ -187,4 +187,4 @@ def lift_decode(
     for j in parts:
         for alpha in range(1, len(offsets) + 1):
             parts[j] ^= cached["S", k, alpha, j]  # strip user k's key shares off the virtual subfile
-    return tuple(parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
+    return tuple([parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1)])

@@ -15,9 +15,9 @@ tuple; a payload is packed only where it becomes a privacy view.
 ``decode`` peels the plan off the block tuple: a block whose only term user k
 has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
 off. Which block gives which subfile, and with which cached terms, is a
-schedule derived once per (configuration, demand vector, user), so a decode
-only XORs. A plan leaving a subfile unrecovered is a ``LookupError``. ``decode``
-returns W_{d_k} as its subfile ints, and builds no ``Bits``. Both shipped
+schedule derived for all users in one pass, once per demand vector, so a
+decode only XORs. A plan leaving a subfile unrecovered is a ``LookupError``.
+``decode`` returns W_{d_k} as its subfile ints, and builds no ``Bits``. Both shipped
 schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
 accessible caches) and work for any file count N, so the lifting transform runs
 them unmodified over virtual libraries.
@@ -44,6 +44,8 @@ from .model import (
 PayloadPlan = tuple[tuple[tuple[int, int], ...], ...]
 PeelStep = tuple[int, int, tuple[tuple[int, int], ...]]
 """(payload block position, subfile index j, the block's cached (file, subfile) terms)."""
+PeelSchedule = tuple[int, tuple[PeelStep, ...], tuple[int, ...]]
+"""User k's (plan block count, its steps, the subfiles of W_{d_k} it misses and no block gives)."""
 
 
 class NonPrivateScheme(ABC):
@@ -95,7 +97,7 @@ class NonPrivateScheme(ABC):
 
     def blocks(self, cfg: NetworkConfig, demands: tuple[int, ...], subfile: IntSubfile) -> tuple[int, ...]:
         """The plan's XOR blocks in plan order, over the int subfiles ``subfile(n, j)``."""
-        return tuple(reduce(xor, [subfile(n, j) for n, j in group], 0) for group in self._plan(cfg, demands))
+        return tuple([reduce(xor, [subfile(n, j) for n, j in group], 0) for group in self._plan(cfg, demands)])
 
     def deliver(
         self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
@@ -110,28 +112,30 @@ class NonPrivateScheme(ABC):
         return blocks, Fraction(len(blocks) * cfg.subfile_bits, cfg.F)
 
     @lru_cache(maxsize=256)
-    def _peel(
-        self, cfg: NetworkConfig, demands: tuple[int, ...], k: int
-    ) -> tuple[int, tuple[PeelStep, ...], tuple[int, ...]]:
-        """User k's peel schedule: the plan's block count; for each subfile j of W_{d_k}
-        that user k misses, (the position of the first block whose only uncached term is
-        W_{d_k,j}, j, that block's cached terms); and the missing j no block gives."""
-        stored, missing = self._layout(cfg)[k - 1]
-        d_k, plan = demands[k - 1], self._plan(cfg, demands)
-        steps: dict[int, PeelStep] = {}
+    def _peel(self, cfg: NetworkConfig, demands: tuple[int, ...]) -> tuple[PeelSchedule, ...]:
+        """Every user's schedule, user 1 first, from one pass over the plan; a step takes the first block giving it."""
+        layout, plan = self._layout(cfg), self._plan(cfg, demands)
+        steps: list[dict[int, PeelStep]] = [{} for _ in layout]
+        lacking: dict[int, list] = {}  # subfile index j -> (d_k, stored, steps) of each user k missing it
+        for (stored, missing), d_k, own in zip(layout, demands, steps):
+            for j in missing:
+                lacking.setdefault(j, []).append((d_k, stored, own))
         for pos, group in enumerate(plan):
-            unknown = [(n, j) for n, j in group if j not in stored]
-            if len(unknown) == 1 and unknown[0][0] == d_k and unknown[0][1] not in steps:
-                j = unknown[0][1]
-                steps[j] = (pos, j, tuple((n, i) for n, i in group if i in stored))
-        return len(plan), tuple(steps.values()), tuple(j for j in missing if j not in steps)
+            for n, j in group:
+                for d_k, stored, own in lacking.get(j, ()):
+                    if n == d_k and j not in own and sum(i not in stored for _, i in group) == 1:
+                        own[j] = (pos, j, tuple((m, i) for m, i in group if i in stored))
+        return tuple(
+            (len(plan), tuple(own.values()), tuple(j for j in missing if j not in own))
+            for (_, missing), own in zip(layout, steps)
+        )
 
     def decode_missing(
         self, cfg: NetworkConfig, k: int, blocks: Sequence[int], subfile: IntSubfile, demands: tuple[int, ...]
     ) -> dict[int, int]:
         """User k's missing subfiles of W_{d_k}, peeled off the payload ``blocks`` (in plan
         order) with its cached ``subfile(n, j)`` ints, along the schedule ``_peel`` derives."""
-        count, steps, lost = self._peel(cfg, demands, k)
+        count, steps, lost = self._peel(cfg, demands)[k - 1]
         if len(blocks) != count:
             raise ValueError(f"user {k} got {len(blocks)} payload blocks, the plan has {count}")
         if lost:
@@ -147,7 +151,7 @@ class NonPrivateScheme(ABC):
         demands = tuple(demands)
         parts = self.decode_missing(cfg, k, blocks, lambda n, j: cached["W", n, j], demands)
         d_k = demands[k - 1]
-        return tuple(parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
+        return tuple([parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1)])
 
     def place(self, cfg: NetworkConfig, library: SubfileLibrary) -> PlacementState:
         """Cache c holds W_{n,j} of every file n for each index j of its ``placement_map`` entry."""

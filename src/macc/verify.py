@@ -16,12 +16,12 @@ material) across the other users' demands. Two exact engines are provided:
 * ``factored`` — exploit that the per-user key vectors are drawn independently,
   so the varying part of a view factorizes across users. A factor's view is
   linear in the other user's key draw plus that user's demand column, so it is
-  uniform on a coset of the image of the unit keys: each factor is scored
-  exactly from the coset class of each demand, over GF(2), without walking the
-  key draws. A factor sees the library only through the subfile columns its key
-  shares name, so it is scored over the contents of those columns alone, never
-  library by library. Used for a lifted scheme when the full state space
-  exceeds the budget.
+  uniform on a coset of the image of the unit keys, read off the subfile
+  columns: its MI is the entropy of the demands' coset classes over GF(2), with
+  no joint table and no walk over key draws. A factor sees the library only
+  through the columns its key shares name, so it is scored over the contents of
+  those columns alone, each column value cut once. Used for a lifted scheme when
+  the full state space exceeds the budget.
 
 Both engines decide the identical condition; their agreement is itself tested.
 Each report's ``states`` counts the states its verdict covers, and each engine
@@ -73,7 +73,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import combinations, repeat
+from itertools import combinations, product, repeat
 from operator import itemgetter, or_, xor
 from typing import Callable, Mapping, Sequence, Union
 
@@ -546,26 +546,30 @@ def _find_witness(cell, lib, d_k):
     return None
 
 
+def _class_entropy(classes: Sequence) -> Union[Fraction, float]:
+    """H(C) of a uniform demand d of class ``classes[d-1]``: ``mutual_information_exact`` of ``{(d, C): 1}``."""
+    n, sizes = len(classes), Counter(classes)
+    return Fraction(0) if len(sizes) == 1 else sum((1 / n) * math.log2(n / sizes[c]) for c in classes)
+
+
 def _factor_mi(labels: tuple[tuple[int, int], ...], columns: Sequence[Sequence[int]], t: int, width: int):
-    """I(d_i; view) for one factor, from the coset class of the demand.
+    """I(d_i; view) for one factor, the entropy of the demand's coset class.
 
     ``labels`` are the (alpha, j) of user i's key shares the viewer sees and
     ``columns[j-1]`` the j-th subfiles of the N files. The view is
     ``(blocks(p), r(p) XOR e_{d_i})`` over user i's uniform key draw p: each
     block ``coeff_xor(p_alpha, column_j)`` and the mask ``r = XOR_alpha p_alpha``
     are linear in p. So under demand d the view is uniform on the coset of
-    ``(0, e_d)`` modulo the image of the t·N unit keys, and the MI is that of d
-    and its coset's least element, the exact 0 when every demand shares one coset.
+    ``(0, e_d)`` modulo the image of the t·N unit keys, where unit key b in slot
+    alpha makes each slot-alpha block ``column_j[b]``.
     """
     N = len(columns[0])
-    images = []
-    for a in range(1, t + 1):
-        for b in range(N):
-            unit = 1 << b
-            blocks = (coeff_xor(unit, columns[j - 1]) if alpha == a else 0 for alpha, j in labels)
-            images.append((pack(blocks, width) << N) | unit)
-    basis = span_basis(images)
-    return mutual_information_exact({(d, coset_least(1 << (d - 1), basis)): 1 for d in range(1, N + 1)})
+    basis = span_basis(
+        (pack([columns[j - 1][b] if alpha == a else 0 for alpha, j in labels], width) << N) | (1 << b)
+        for a in range(1, t + 1)
+        for b in range(N)
+    )
+    return _class_entropy([coset_least(1 << b, basis) for b in range(N)])
 
 
 def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
@@ -575,18 +579,19 @@ def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
     users i: factor i is (the key shares of i landing in user k's caches, the
     column q_i). The view distributions match across the other demands iff
     every factor's distribution is d_i-invariant, and the total MI is the mean
-    over libraries of the per-factor MI sum. Each factor is scored from the
-    coset class of d_i (``_factor_mi``), not by walking user i's key draws;
-    ``states`` is still the count of (library, factor, key draw, d_i) states
-    the verdict covers, and the budget is checked against it.
+    over libraries of the per-factor MI sum. Each factor's MI is the entropy of
+    d_i's coset classes (``_factor_mi``), with no joint table and no key draw
+    walked; ``states`` is still the count of (library, factor, key draw, d_i)
+    states the verdict covers, and the budget is checked against it.
 
     A share p_{i,a}·(column j) depends on the library only through column j, so
     a factor is a function of its share labels and the content of the columns J
     they name. Each distinct label tuple is scored over the ``2^(N·w·|J|)``
-    contents of its columns, and its mean over the libraries is the mean over
-    those contents; a user's MI is the sum of its factors' means. A content that
-    leaks names the least library holding it: that content with zeros in every
-    other subfile. Each witness is the least (library, leaking user) pair.
+    contents of its columns (tuples of column values, each cut once), and its
+    mean over the libraries is the mean over those contents; a user's MI is the
+    sum of its factors' means. A content that leaks names the least library
+    holding it: that content with zeros in every other subfile. Each witness is
+    the least (library, leaking user) pair.
     """
     cfg, t = inst.cfg, inst.t
     N, K, S, width = cfg.N, cfg.K, cfg.subfiles_per_file, cfg.subfile_bits
@@ -595,14 +600,15 @@ def _factored_engine(inst: LiftedInstance, budget: int) -> PrivacyReport:
         raise BudgetExceededError(states, budget, "factored privacy enumeration")
     # seen[k0-1][i-1]: the (alpha, j) of user i's key shares in user k0's caches.
     seen = [[tuple((a, j) for o, a, j in labels if o == i) for i in range(1, K + 1)] for labels in inst.shares]
+    cuts = [split(v, N, width) for v in range(1 << (N * width))]
     scores = {}  # labels -> (the factor's mean MI over libraries, its least leaking library or None)
     for labels in {seen[k0][i] for k0 in range(K) for i in range(K) if i != k0}:
         js = sorted({j for _, j in labels})
         columns = [(0,) * N] * S
         total, least = Fraction(0), None
-        for content in range(1 << (N * width * len(js))):
-            for j, column in zip(js, split(content, len(js), N * width)):
-                columns[j - 1] = split(column, N, width)
+        for content in product(cuts, repeat=len(js)):  # first column of js on top, which fixes the float sum
+            for j, column in zip(js, content):
+                columns[j - 1] = column
             mi_cell = _factor_mi(labels, columns, t, width)
             if mi_cell != 0:
                 total = total + mi_cell

@@ -75,6 +75,7 @@ TRACED_OPS = [
     ("verify-keyed", "keyed/lifted-example1-N2-F3"),
     ("verify-keyless", "keyless/example1-N2-leak"),
     ("privacy-sweep", "sweep/K3-L2-tp0-off1"),
+    ("privacy-sweep", "sweep/K4-L2-tp0-off1"),  # past the full engine's budget: the factored engine
     ("simulate", "sim/lifted-example1-N4"),
     ("simulate", "sim/baseline-K7-L3-N3-M1/2"),
     ("simulate", "sim/attack-naive-K4-L3-N3"),
@@ -111,3 +112,5 @@ def test_traced_ops_pass_their_checks():
     layers = json.loads(proc.stdout.strip().splitlines()[-1])
     # The baseline runner decodes once per user, through the public decoder the tracer wraps.
     assert layers["baseline.decode.calls"] == 7
+    # The tracer wraps the private engine names too, so the factored op's time lands in its layer.
+    assert layers["verify.privacy.factored.self_s"] > 0

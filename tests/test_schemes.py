@@ -216,3 +216,41 @@ def test_plan_missing_a_block_is_a_lookup_error():
     files = [lib.file(n) for n in (1, 2)]
     with pytest.raises(LookupError, match="user 1"):
         verify_decodability(make_nonprivate_runner(TwoUserNoBlock(), cfg, lib), 2, 2, files)
+
+
+def _own_peel(scheme, cfg, demands, k):
+    """User k's schedule derived on its own, block by block."""
+    stored, missing = scheme._layout(cfg)[k - 1]
+    plan, steps = scheme._plan(cfg, demands), {}
+    for pos, group in enumerate(plan):
+        unknown = [(n, j) for n, j in group if j not in stored]
+        if len(unknown) == 1 and unknown[0][0] == demands[k - 1] and unknown[0][1] not in steps:
+            steps[unknown[0][1]] = (pos, unknown[0][1], tuple((n, i) for n, i in group if i in stored))
+    return len(plan), tuple(steps.values()), tuple(j for j in missing if j not in steps)
+
+
+def test_one_pass_peel_matches_each_users_own_derivation():
+    cases = [
+        (make_scheme("example1"), NetworkConfig(3, 2, 3, 3, 3)),
+        (make_scheme("example1"), NetworkConfig(4, 3, 2, 4, 4)),
+        (make_scheme("cyclic-uncoded", 0), NetworkConfig(4, 2, 2, 4, 4)),
+        (make_scheme("cyclic-uncoded", 2), NetworkConfig(5, 2, 2, 5, 5)),
+        (make_scheme("cyclic-uncoded", 1), NetworkConfig(4, 3, 3, 4, 4)),
+        (TwoUser(), NetworkConfig(2, 1, 2, 2, 2)),
+        (TwoUserNoBlock(), NetworkConfig(2, 1, 2, 2, 2)),
+    ]
+    for s, cfg in cases:
+        for demands in all_demand_vectors(cfg.N, cfg.K):
+            assert s._peel(cfg, demands) == tuple(_own_peel(s, cfg, demands, k) for k in range(1, cfg.K + 1))
+
+
+def test_nonprivate_sweep_derives_one_peel_schedule_per_demand_vector():
+    # A sweep meets each demand vector once; one schedule per vector serves all K users,
+    # so the sweep derives N**K schedules, not K * N**K.
+    K, N = 4, 2
+    cfg = NetworkConfig(K, 2, N, K, K)
+    s = make_scheme("cyclic-uncoded", 1)
+    lib = random_library(N, K, K, seed=5)
+    NonPrivateScheme._peel.cache_clear()
+    assert verify_decodability(make_nonprivate_runner(s, cfg, lib), K, N, [lib.file(n) for n in (1, 2)]).ok
+    assert NonPrivateScheme._peel.cache_info().misses == N**K

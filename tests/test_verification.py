@@ -684,8 +684,8 @@ def test_factored_memo_matches_per_library_loop(tp, offsets, private):
 
 def test_factored_memo_scores_each_distinct_factor_once(monkeypatch):
     calls = []
-    real = macc.verify.mutual_information_exact
-    monkeypatch.setattr(macc.verify, "mutual_information_exact", lambda joint: calls.append(1) or real(joint))
+    real = macc.verify._factor_mi
+    monkeypatch.setattr(macc.verify, "_factor_mi", lambda *factor: calls.append(1) or real(*factor))
     K = 5
     inst = LiftedInstance(make_scheme("cyclic-uncoded", 0), NetworkConfig(K, 2, 2, 5, 5), (1, 2))
     report = verify_privacy_exact(inst, engine="factored")
@@ -694,6 +694,16 @@ def test_factored_memo_scores_each_distinct_factor_once(monkeypatch):
     # One call per distinct labels and content of the columns they name: 2,049 here,
     # not one per library and cell.
     assert 0 < len(calls) < n_libs * K * (K - 1)
+
+
+def test_factored_engine_builds_no_joint_table(monkeypatch):
+    # Each factor is scored by its coset classes' entropy, even where the classes are uneven (N = 3).
+    calls = []
+    real = macc.verify.mutual_information_exact
+    monkeypatch.setattr(macc.verify, "mutual_information_exact", lambda joint: calls.append(1) or real(joint))
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", 0), NetworkConfig(3, 2, 3, 3, 3), (1,))
+    assert not verify_privacy_exact(inst, engine="factored").private
+    assert calls == []
 
 
 @pytest.mark.parametrize(
