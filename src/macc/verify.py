@@ -12,7 +12,9 @@ Privacy is checked in the conditional form: fix the library realization w and
 the user's own demand, then compare the view distribution (over uniform key
 material) across the other users' demands. Two exact engines are provided:
 
-* ``full``     — enumerate every (library, key draw, demand vector) state.
+* ``full``     — enumerate every (library, key draw, demand vector) state, and
+  score each leaking (user, own demand) cell by the entropy of its coset classes,
+  after checking that its histograms are flat, equal-sized, disjoint cosets.
 * ``factored`` — exploit that the per-user key vectors are drawn independently,
   so the varying part of a view factorizes across users. A factor's view is
   linear in the other user's key draw plus that user's demand column, so it is
@@ -23,9 +25,9 @@ material) across the other users' demands. Two exact engines are provided:
   those columns alone, each column value cut once. Used for a lifted scheme when
   the full state space exceeds the budget.
 
-Both engines decide the identical condition; their agreement is itself tested.
-Each report's ``states`` counts the states its verdict covers, and each engine
-refuses before it starts when that count exceeds the budget.
+Both engines decide the identical condition, neither builds a joint table, and
+their agreement is itself tested. Each report's ``states`` counts the states its
+verdict covers, and each engine refuses up front when it exceeds the budget.
 
 Views come from the scheme code that runs, not from a model of it. A lifted
 scheme's layout (the key-share labels in each user's caches) is read from one
@@ -41,9 +43,8 @@ Every instance exposes ``cfg``, ``key_bits``, ``lib_ctx``, ``demand_views``, and
 the engines read the instance itself. ``lib_ctx(lib)`` gives the per-library
 tables and ``demand_views(ctx, d)`` gives each user's histogram of views over
 the key draws (a keyless scheme's lone view, as a 1-tuple). The full engine
-decides a library with one comparison when no demand vector moves any user's
-histogram, and only a library where some histogram moves is split into (user,
-own demand) cells. A lifted view is one int at fixed field widths::
+splits into (user, own demand) cells only a library where some demand vector
+moves some user's histogram. A lifted view is one int at fixed field widths::
 
     (share blocks << share_shift) | (packed Q << pay_shift) | payload
 
@@ -477,10 +478,15 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
     equals the first, no demand vector moves any user's view distribution, so
     every (user, own demand) cell of the library is private and the engine goes
     on to the next library. Only a library that fails it is decided cell by
-    cell: a cell is private when its histograms are all equal, and otherwise adds
-    its MI and, the first time, a witness, whose histograms a lifted instance
-    first maps through ``full_view`` so the distinguishing view is the whole
-    view. Both tests compare plain dicts and tuples, in C.
+    cell: a cell is private when its histograms are all equal. Otherwise its MI is
+    the entropy of its ``d_{-k}``'s classes, a class being the first equal
+    histogram: a keyless view is a point mass, and a lifted histogram is uniform
+    on a coset of the span of its unit-key images, so classes are flat, of one
+    size and disjoint. The engine checks that premise in each lifted cell and
+    raises ``RuntimeError`` naming the cell where it fails. Each user's first
+    leaking cell gives its witness, whose histograms a lifted instance first
+    maps through ``full_view`` so the distinguishing view is the whole view.
+    Both tests compare plain dicts and tuples, in C.
     """
     N, K, lib_bits = inst.cfg.N, inst.cfg.K, inst.cfg.N * inst.cfg.F
     states = (1 << lib_bits) * (1 << inst.key_bits) * N**K
@@ -515,19 +521,22 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
                 group = pick(column)
                 if group.count(group[0]) == len(group):
                     continue
-                cell = [(rest[k0][i], Counter(h)) for i, h in zip(idxs, group)]
-                joint = {(r, v): c for r, counts in cell for v, c in counts.items()}
-                mi_sum[k0] = mi_sum[k0] + mutual_information_exact(joint)
+                classes = list(map(group.index, group))
+                if lifted:  # I = H(class) needs flat classes, all of one size and pairwise disjoint
+                    reps = [group[c] for c in set(classes)]
+                    flat = {(len(h), len(set(h.values()))) for h in reps} == {(len(group[0]), 1)}
+                    if not flat or len(set().union(*reps)) != len(reps) * len(group[0]):
+                        raise RuntimeError(f"user {k0 + 1}, library {lib}, own demand {d_k}: classes are not cosets")
+                mi_sum[k0] = mi_sum[k0] + _class_entropy(classes)
                 if witness[k0] is None:
+                    cell = [(rest[k0][i], Counter(h)) for i, h in zip(idxs, group)]
                     if lifted:
                         cell = [(r, Counter({inst.full_view(ctx, v): c for v, c in h.items()})) for r, h in cell]
                     witness[k0] = _find_witness(cell, lib, d_k)
     report = PrivacyReport("full", states)
     for k0 in range(K):
         mi = mi_sum[k0] / n_cells if mi_sum[k0] else Fraction(0)
-        report.users.append(
-            UserPrivacyVerdict(k0 + 1, witness[k0] is None, mi, witness[k0])
-        )
+        report.users.append(UserPrivacyVerdict(k0 + 1, witness[k0] is None, mi, witness[k0]))
     return report
 
 
@@ -547,7 +556,8 @@ def _find_witness(cell, lib, d_k):
 
 
 def _class_entropy(classes: Sequence) -> Union[Fraction, float]:
-    """H(C) of a uniform demand d of class ``classes[d-1]``: ``mutual_information_exact`` of ``{(d, C): 1}``."""
+    """H(C) of a uniform index i of class ``classes[i]``, i a demand or a cell's ``d_{-k}``: the
+    terms ``mutual_information_exact`` sums for ``{(i, C): 1}``, in order."""
     n, sizes = len(classes), Counter(classes)
     return Fraction(0) if len(sizes) == 1 else sum((1 / n) * math.log2(n / sizes[c]) for c in classes)
 

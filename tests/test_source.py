@@ -43,6 +43,20 @@ def test_scheme_code_names_no_bits():
     assert found == []
 
 
+def test_no_engine_calls_the_joint_table_mi():
+    # Both privacy engines score a leaking cell by the entropy of its coset classes.
+    # ``mutual_information_exact`` stays the public reference on a joint table, defined
+    # in ``verify.py`` and exported, but nothing in the package calls it.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "mutual_information_exact":
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_a_failing_property_test_cannot_abort_the_session(request):
     # A failing ``@given`` test makes hypothesis's pytest plugin import
     # ``hypothesis.extra._patching``. Under ``filterwarnings = ["error"]`` a

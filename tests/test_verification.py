@@ -8,9 +8,10 @@ from itertools import combinations
 from operator import eq
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import macc.baseline
+import macc.cli
 import macc.lifting
 import macc.model
 import macc.schemes
@@ -1057,6 +1058,85 @@ def test_full_engine_matches_per_state_loop(inst, private):
     report = verify_privacy_exact(inst, engine="full")
     assert repr(report) == repr(_per_state_full_engine(inst))
     assert report.private == private
+
+
+def test_full_engine_builds_no_joint_table(monkeypatch):
+    # Each leaking cell is scored by the entropy of its classes, keyed (a lifted leak)
+    # or keyless (example1 at N = 3, whose cells split into uneven classes).
+    calls = []
+    real = macc.verify.mutual_information_exact
+    monkeypatch.setattr(macc.verify, "mutual_information_exact", lambda joint: calls.append(1) or real(joint))
+    lifted = LiftedInstance(make_scheme("cyclic-uncoded", 0), NetworkConfig(3, 2, 2, 3, 3), (1,))
+    keyless = NonPrivateInstance(make_scheme("example1"), NetworkConfig(3, 2, 3, 3, 3))
+    for inst in (lifted, keyless):
+        assert not verify_privacy_exact(inst, engine="full").private
+    assert calls == []
+
+
+def _assert_full_engine_matches_references(inst):
+    """The full engine against the per-state loop (verdicts, ``states`` and witnesses
+    exact, MI to 1e-12) and against the factored engine (verdicts, MI to 1e-12)."""
+    report = verify_privacy_exact(inst, engine="full")
+    reference = _per_state_full_engine(inst)
+    factored = verify_privacy_exact(inst, engine="factored")
+    assert report.engine == "full" and report.states == reference.states
+    assert [(u.private, u.witness) for u in report.users] == [(u.private, u.witness) for u in reference.users]
+    assert [u.private for u in report.users] == [u.private for u in factored.users]
+    for u, ref, fac in zip(report.users, reference.users, factored.users):
+        if u.private:
+            assert u.mi_bits == ref.mi_bits == fac.mi_bits == Fraction(0)
+            assert isinstance(u.mi_bits, Fraction)
+        assert u.mi_bits == pytest.approx(ref.mi_bits, abs=1e-12)
+        assert u.mi_bits == pytest.approx(fac.mi_bits, abs=1e-12)
+    return report
+
+
+@pytest.mark.parametrize("tp", [0, 1], ids=["tp0", "tp1"])
+def test_full_engine_matches_per_state_loop_beyond_two_files(tp):
+    # At N = 3 a cell's classes are uneven, so its MI is a float sum that the class
+    # entropy and the oracle's joint table add up in different orders.
+    inst = LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(2, 1, 3, 2, 2), (2,))
+    report = _assert_full_engine_matches_references(inst)
+    assert report.states == 36864 and not report.private
+
+
+def test_full_engine_refuses_a_histogram_that_is_no_coset(monkeypatch, capsys):
+    # One count planted in user 1's histogram under one demand vector breaks the premise
+    # that scores a cell by its classes' entropy: the engine says so and scores nothing,
+    # and ``macc verify`` reports it as an internal error.
+    real = LiftedInstance.demand_views
+
+    def demand_views(self, ctx, demands):
+        hists = real(self, ctx, demands)
+        if demands == (2, 1, 1):
+            hists[0][next(iter(hists[0]))] += 1
+        return hists
+
+    monkeypatch.setattr(LiftedInstance, "demand_views", demand_views)
+    inst = LiftedInstance(make_scheme("example1"), NetworkConfig(3, 2, 2, 3, 3), (1, 2))
+    with pytest.raises(RuntimeError, match="user 1, library 0, own demand 2: "):
+        verify_privacy_exact(inst, engine="full")
+    assert macc.cli.main(["verify", "--scheme", "lifted:example1", "--N", "2", "--F", "3"]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: user 1, library 0, own demand 2: " in err
+
+
+@st.composite
+def enumerable_lifted(draw):
+    """A lifted cyclic-uncoded instance with K, N in {2, 3}, any t_p and any non-empty
+    offsets, whose full enumeration covers at most 5·10^4 states."""
+    K, N = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    L = draw(st.integers(1, K - 1))
+    tp = draw(st.integers(0, K // L))
+    offsets = tuple(sorted(draw(st.sets(st.integers(1, K), min_size=1))))
+    assume((1 << (N * K)) * (1 << (K * len(offsets) * N)) * N**K <= 5 * 10**4)
+    return LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(K, L, N, K, K), offsets)
+
+
+@settings(max_examples=20, deadline=None)
+@given(enumerable_lifted())
+def test_full_engine_matches_references_on_random_instances(inst):
+    _assert_full_engine_matches_references(inst)
 
 
 @pytest.mark.parametrize(
