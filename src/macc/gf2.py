@@ -1,14 +1,14 @@
 """GF(2) vector/matrix kernels and adjacent-independent-row (AIR) matrices.
 
 Rows are stored as int bitmasks; bit c (1 << c) is column c, 0-based. The blocks
-that ``coeff_xor`` and ``gf2_solve_window`` combine are ints too.
+that ``coeff_xor`` and ``gf2_solve_window`` combine are ints too. A fold over blocks
+returns a lone term as is, without copying it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import xor
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 
@@ -42,8 +42,17 @@ class Gf2Matrix:
 
 
 def coeff_xor(coeff: int, column: Sequence[int]) -> int:
-    """Row ``coeff`` times a column of int blocks: the XOR of each ``column[c]`` whose bit c is set."""
-    return reduce(xor, (v for c, v in enumerate(column) if (coeff >> c) & 1), 0)
+    """Row ``coeff`` times a column of int blocks: the XOR of each ``column[c]`` whose bit c is set.
+
+    A lone selected block is returned as is, not copied by a ``0 ^`` seed, and a row
+    selecting nothing gives 0. Bits past the column's end select nothing.
+    """
+    acc = 0
+    for v in column:
+        if coeff & 1:
+            acc = acc ^ v if acc else v  # a zero acc selected nothing yet, or cancelled to 0
+        coeff >>= 1
+    return acc
 
 
 def span_basis(rows: Iterable[int]) -> dict[int, int]:

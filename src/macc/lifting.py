@@ -151,10 +151,10 @@ def lift_deliver(
     if len(demands) != cfg.K or any(not 1 <= d <= cfg.N for d in demands):
         raise ValueError(f"bad demand vector {tuple(demands)} for N={cfg.N}, K={cfg.K}")
     library.check_fits(cfg)
-    q = tuple(keys.r(k) ^ (1 << (demands[k - 1] - 1)) for k in range(1, cfg.K + 1))
+    q = tuple([reduce(xor, row, 1 << (d - 1)) for row, d in zip(keys.p, demands)])  # r_k ^ e_{d_k}
     vcfg, users = virtual_config(cfg), tuple(range(1, cfg.K + 1))
     base.validate(vcfg)
-    columns = [library.column(j) for j in range(1, cfg.subfiles_per_file + 1)]
+    columns = [[sf.v for sf in column] for column in zip(*library.files)]
     blocks = base.blocks(vcfg, users, lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
     rate = Fraction(len(blocks) * cfg.subfile_bits, cfg.F)
     return LiftedTransmission(q, cfg.N, blocks, rate)
@@ -182,9 +182,8 @@ def lift_decode(
     def virtual(v: int, j: int) -> int:
         return coeff_xor(tx.q_columns[v - 1], [cached["W", n, j] for n in range(1, cfg.N + 1)])
 
-    users = tuple(range(1, cfg.K + 1))
+    users, slots = tuple(range(1, cfg.K + 1)), range(1, len(offsets) + 1)
     parts = base.decode_missing(virtual_config(cfg), k, tx.blocks, virtual, users)
-    for j in parts:
-        for alpha in range(1, len(offsets) + 1):
-            parts[j] ^= cached["S", k, alpha, j]  # strip user k's key shares off the virtual subfile
+    for j, block in parts.items():  # strip user k's key shares off the virtual subfile
+        parts[j] = reduce(xor, [cached["S", k, alpha, j] for alpha in slots], block)
     return tuple([parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1)])

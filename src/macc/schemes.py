@@ -16,7 +16,9 @@ tuple; a payload is packed only where it becomes a privacy view.
 has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
 off. Which block gives which subfile, and with which cached terms, is a
 schedule derived for all users in one pass, once per demand vector, so a
-decode only XORs. A plan leaving a subfile unrecovered is a ``LookupError``.
+decode only XORs. A fold returns a lone term as is, without copying it: a
+unicast block is its subfile int, and a peeled block with no cached terms is
+the block. A plan leaving a subfile unrecovered is a ``LookupError``.
 ``decode`` returns W_{d_k} as its subfile ints, and builds no ``Bits``. Both shipped
 schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
 accessible caches) and work for any file count N, so the lifting transform runs
@@ -96,8 +98,13 @@ class NonPrivateScheme(ABC):
         return Fraction(len(self._plan(cfg, (1,) * cfg.K)) * cfg.subfile_bits, cfg.F)
 
     def blocks(self, cfg: NetworkConfig, demands: tuple[int, ...], subfile: IntSubfile) -> tuple[int, ...]:
-        """The plan's XOR blocks in plan order, over the int subfiles ``subfile(n, j)``."""
-        return tuple([reduce(xor, [subfile(n, j) for n, j in group], 0) for group in self._plan(cfg, demands)])
+        """The plan's XOR blocks in plan order, over the int subfiles ``subfile(n, j)``.
+
+        A one-term group's block is its subfile int itself, not a copy; an empty group's is 0.
+        """
+        return tuple([
+            reduce(xor, [subfile(n, j) for n, j in group]) if group else 0 for group in self._plan(cfg, demands)
+        ])
 
     def deliver(
         self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
@@ -116,15 +123,18 @@ class NonPrivateScheme(ABC):
         """Every user's schedule, user 1 first, from one pass over the plan; a step takes the first block giving it."""
         layout, plan = self._layout(cfg), self._plan(cfg, demands)
         steps: list[dict[int, PeelStep]] = [{} for _ in layout]
-        lacking: dict[int, list] = {}  # subfile index j -> (d_k, stored, steps) of each user k missing it
+        lacking: dict[tuple[int, int], list] = {}  # (d_k, j) -> (stored, steps) of each user k missing W_{d_k,j}
         for (stored, missing), d_k, own in zip(layout, demands, steps):
             for j in missing:
-                lacking.setdefault(j, []).append((d_k, stored, own))
+                lacking.setdefault((d_k, j), []).append((stored, own))
         for pos, group in enumerate(plan):
-            for n, j in group:
-                for d_k, stored, own in lacking.get(j, ()):
-                    if n == d_k and j not in own and sum(i not in stored for _, i in group) == 1:
-                        own[j] = (pos, j, tuple((m, i) for m, i in group if i in stored))
+            for term in group:
+                j = term[1]
+                for stored, own in lacking.get(term, ()):
+                    if j not in own:
+                        cached = tuple([(m, i) for m, i in group if i in stored])
+                        if len(cached) == len(group) - 1:  # term is the group's one uncached term
+                            own[j] = (pos, j, cached)
         return tuple(
             (len(plan), tuple(own.values()), tuple(j for j in missing if j not in own))
             for (_, missing), own in zip(layout, steps)

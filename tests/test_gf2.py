@@ -1,4 +1,7 @@
+import random
+from functools import reduce
 from itertools import combinations, product
+from operator import xor
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,7 @@ from macc import (
     Gf2Matrix,
     build_air,
     check_air,
+    coeff_xor,
     gf2_rank,
     gf2_solve_window,
     invert_square,
@@ -117,3 +121,17 @@ def test_solve_window_round_trip():
         for start in range(1, K + 1):
             rhs = [coded[(start - 1 + i) % K] for i in range(L)]
             assert gf2_solve_window(m, start, rhs) == pieces
+
+
+@pytest.mark.parametrize("width", [1, 1 << 16])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_coeff_xor_equals_the_zero_seeded_fold(N, width):
+    rng = random.Random(N * width)
+    drawn = [rng.getrandbits(width) for _ in range(N)]
+    for column in (drawn, [drawn[0]] * N):  # the second cancels to 0 on every even selection
+        for coeff in range(1 << N):
+            selected = [v for c, v in enumerate(column) if coeff >> c & 1]
+            got = coeff_xor(coeff, column)
+            assert got == reduce(xor, selected, 0)
+            if len(selected) == 1:
+                assert got is selected[0]  # the block itself, not a copy

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macc import (
     LiftedInstance,
@@ -242,6 +245,81 @@ def test_one_pass_peel_matches_each_users_own_derivation():
     for s, cfg in cases:
         for demands in all_demand_vectors(cfg.N, cfg.K):
             assert s._peel(cfg, demands) == tuple(_own_peel(s, cfg, demands, k) for k in range(1, cfg.K + 1))
+
+
+class TwoTables(NonPrivateScheme):
+    """A scheme given outright by its placement map and one plan for every demand vector."""
+
+    name = "two-tables"
+
+    def __init__(self, jmap, plan):
+        self.jmap, self.plan = jmap, plan
+
+    def placement_map(self, cfg):
+        return self.jmap
+
+    def payload_plan(self, cfg, demands):
+        return self.plan
+
+
+@st.composite
+def peel_cases(draw):
+    """A random C1 placement (K <= 5, N <= 3), a plan of up to 8 groups of 0-3 terms, and a demand vector."""
+    K = draw(st.integers(2, 5))
+    L, N = draw(st.integers(1, K - 1)), draw(st.integers(1, 3))
+    jmap = [set() for _ in range(K)]
+    for j in range(1, K + 1):
+        for c in draw(st.permutations(range(K)))[: draw(st.integers(0, K))]:
+            # Two caches less than L apart share a window, so C1 keeps them disjoint.
+            if all(j not in jmap[o] or min((c - o) % K, (o - c) % K) >= L for o in range(K)):
+                jmap[c].add(j)
+    term = st.tuples(st.integers(1, N), st.integers(1, K))
+    plan = draw(st.lists(st.lists(term, max_size=3).map(tuple), max_size=8).map(tuple))
+    demands = draw(st.tuples(*[st.integers(1, N)] * K))
+    return TwoTables(tuple(map(frozenset, jmap)), plan), NetworkConfig(K, L, N, K, K), demands
+
+
+@settings(max_examples=200, deadline=None)
+@given(peel_cases())
+def test_indexed_peel_matches_own_peel_on_random_plans(case):
+    s, cfg, demands = case
+    assert check_condition_c1(s, cfg)
+    assert s._peel(cfg, demands) == tuple(_own_peel(s, cfg, demands, k) for k in range(1, cfg.K + 1))
+
+
+def test_peel_takes_the_first_block_and_reports_the_lost():
+    # Cache c holds subfile c, and each user reads its own cache.
+    cfg = NetworkConfig(3, 1, 2, 3, 3)
+    plan = (
+        ((1, 2), (1, 1)),  # user 1 peels W_{1,2} off its cached W_{1,1}; user 3 knows neither
+        ((1, 2),),  # offers W_{1,2} to user 1 again (the first block wins) and to user 3
+        (),  # an empty group gives nobody anything
+        ((2, 1), (2, 3)),  # two subfiles user 2 lacks: no step
+    )
+    s = TwoTables((frozenset({1}), frozenset({2}), frozenset({3})), plan)
+    demands = (1, 2, 1)
+    assert s._peel(cfg, demands) == (
+        (4, ((0, 2, ((1, 1),)),), (3,)),
+        (4, (), (1, 3)),
+        (4, ((1, 2, ()),), (1,)),
+    )
+    assert s._peel(cfg, demands) == tuple(_own_peel(s, cfg, demands, k) for k in range(1, cfg.K + 1))
+
+
+@pytest.mark.parametrize("width", [1, 1 << 16])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
+def test_blocks_equal_the_zero_seeded_fold(N, width):
+    # Group c names subfile 1 of each file n whose bit n-1 of c is set; c = 0 is the empty group.
+    plan = tuple(tuple((n, 1) for n in range(1, N + 1) if c >> (n - 1) & 1) for c in range(1 << N))
+    s, cfg = TwoTables((frozenset({2}), frozenset({1})), plan), NetworkConfig(2, 1, N, 2 * width, 2)
+    lib = random_library(N, cfg.F, 2, seed=N * width)
+    blocks = s.blocks(cfg, (1, 1), lambda n, j: lib.subfile(n, j).v)
+    assert len(blocks) == 1 << N
+    for group, block in zip(plan, blocks):
+        selected = [lib.subfile(n, j).v for n, j in group]
+        assert block == reduce(xor, selected, 0)
+        if len(selected) == 1:
+            assert block is selected[0]  # the subfile itself, not a copy
 
 
 def test_nonprivate_sweep_derives_one_peel_schedule_per_demand_vector():

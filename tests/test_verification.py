@@ -426,6 +426,99 @@ def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
     assert not rep.ok and rep.failure[2] == 2
 
 
+# Planted faults on the lifted round trip. Each is a monkeypatch of one kernel the
+# runner calls; the decodability sweep must reject it with a witness (seed, demand
+# vector, user) that decodes at the unpatched code.
+
+
+def _lifted_sweep(base, cfg, lib):
+    offsets = algorithm1_private_set(cfg).caches
+    files = [lib.file(n) for n in range(1, cfg.N + 1)]
+    return verify_decodability(make_lifted_runner(base, cfg, offsets, lib), cfg.K, cfg.N, files, seeds=(9,))
+
+
+def _assert_planted_fault_caught(monkeypatch, base, cfg, lib):
+    rep = _lifted_sweep(base, cfg, lib)
+    assert not rep.ok and rep.failure is not None
+    seed, demands, k = rep.failure
+    offsets = algorithm1_private_set(cfg).caches
+    want = tuple(split(lib.file(demands[k - 1]).v, cfg.subfiles_per_file, cfg.subfile_bits))
+    assert make_lifted_runner(base, cfg, offsets, lib)(seed, demands)[k - 1] != want
+    monkeypatch.undo()
+    assert make_lifted_runner(base, cfg, offsets, lib)(seed, demands)[k - 1] == want
+    assert _lifted_sweep(base, cfg, lib).ok
+
+
+def test_decodability_catches_a_coeff_xor_that_drops_its_highest_column(monkeypatch):
+    cfg = NetworkConfig(4, 2, 2, 64, 4)
+    base, lib = make_scheme("cyclic-uncoded", 1), random_library(2, 64, 4, 41)
+    real = macc.lifting.coeff_xor
+
+    def drop_highest(coeff, column):
+        # ``1 << coeff.bit_length() >> 1`` is coeff's highest set bit, and 0 for coeff 0.
+        return real(coeff ^ (1 << coeff.bit_length() >> 1), column)
+
+    monkeypatch.setattr(macc.lifting, "coeff_xor", drop_highest)
+    _assert_planted_fault_caught(monkeypatch, base, cfg, lib)
+
+
+def test_decodability_catches_a_lift_decode_that_strips_one_share_fewer(monkeypatch):
+    cfg = NetworkConfig(4, 2, 2, 64, 4)
+    base, lib = make_scheme("cyclic-uncoded", 1), random_library(2, 64, 4, 42)
+    real = macc.verify.lift_decode
+
+    def one_share_fewer(base, cfg, offsets, *rest):
+        return real(base, cfg, tuple(offsets)[:-1], *rest)
+
+    monkeypatch.setattr(macc.verify, "lift_decode", one_share_fewer)
+    _assert_planted_fault_caught(monkeypatch, base, cfg, lib)
+
+
+class PairFirst(macc.schemes.NonPrivateScheme):
+    """K users, L=1: cache c holds subfile c. Each user k gets the XOR of its two lowest
+    missing subfiles of W_{d_k} before each of them alone, so the XOR block gives it
+    nothing to peel."""
+
+    name = "pair-first"
+
+    def placement_map(self, cfg):
+        return tuple(frozenset({c}) for c in range(1, cfg.K + 1))
+
+    def payload_plan(self, cfg, demands):
+        plan = []
+        for k, d in enumerate(demands, 1):
+            a, b, *rest = self.missing_subfile_indices(cfg, k)
+            plan += [((d, a), (d, b)), ((d, a),), ((d, b),), *(((d, j),) for j in rest)]
+        return tuple(plan)
+
+
+def _two_unknown_peel(self, cfg, demands):
+    """``NonPrivateScheme._peel`` with its one-uncached-term test loosened to two."""
+    layout, plan = self._layout(cfg), self._plan(cfg, demands)
+    schedules = []
+    for (stored, missing), d_k in zip(layout, demands):
+        steps = {}
+        for pos, group in enumerate(plan):
+            cached = tuple((n, i) for n, i in group if i in stored)
+            for n, j in group:
+                if n == d_k and j in missing and j not in steps and len(cached) >= len(group) - 2:
+                    steps[j] = (pos, j, cached)
+        schedules.append((len(plan), tuple(steps.values()), tuple(j for j in missing if j not in steps)))
+    return tuple(schedules)
+
+
+def test_decodability_catches_a_peel_that_takes_a_block_with_two_unknowns(monkeypatch):
+    cfg = NetworkConfig(3, 1, 2, 48, 3)
+    base, lib = PairFirst(), random_library(2, 48, 3, 43)
+    files = [lib.file(1), lib.file(2)]
+    assert verify_decodability(make_nonprivate_runner(base, cfg, lib), cfg.K, cfg.N, files).ok
+    assert _lifted_sweep(base, cfg, lib).ok
+    monkeypatch.setattr(macc.schemes.NonPrivateScheme, "_peel", _two_unknown_peel)
+    rep = verify_decodability(make_nonprivate_runner(base, cfg, lib), cfg.K, cfg.N, files)
+    assert not rep.ok and rep.failure == (None, (1, 1, 1), 1)
+    _assert_planted_fault_caught(monkeypatch, base, cfg, lib)
+
+
 def _count_layout_calls(monkeypatch):
     """Count every ``split`` (by field count) and every ``pack`` through each ``macc``
     module that binds them, so no layout call on the round trip goes unseen."""
