@@ -96,6 +96,11 @@ class NetworkConfig:
             raise ValueError(
                 f"F={self.F} not divisible by subfiles_per_file={self.subfiles_per_file}"
             )
+        # Every cached plan and layout is looked up by config, so the hash is made once.
+        object.__setattr__(self, "_hash", hash((self.K, self.L, self.N, self.F, self.subfiles_per_file)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def subfile_bits(self) -> int:

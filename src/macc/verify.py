@@ -62,9 +62,12 @@ off that tally by translating its Q field: a keyed histogram is keyed by
 equality, no count and no first-occurrence order, so no verdict and no MI
 float. The payload, a function of (library, Q), joins only a witness's
 ``distinguishing_view``: the engine maps a leaking cell through ``psi``
-(``LiftedInstance.full_view``) before it picks one. The key columns are built
-once per instance, from ``KeyMaterial.from_int``; every field is cut and
-joined by the layout kernels of ``model`` (``pack``, ``split``).
+(``LiftedInstance.full_view``) before it picks one. Every key share is
+``p_{i,a}`` times a subfile column and r is the XOR of the p's, so ``u_k`` is
+linear in the key draw: its column over the draws is doubled up from the images
+of the ``key_bits`` unit keys, read off the library's columns, and no key draw
+is walked. Every field is cut and joined by the layout kernels of ``model``
+(``pack``, ``split``).
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import combinations, product, repeat
-from operator import itemgetter, or_, xor
+from operator import itemgetter, xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
@@ -341,10 +344,10 @@ class LiftedInstance:
     ``full_view`` (psi) adds it to ``shares | Q`` and nothing else does: psi
     leaves every other bit in place, so it is injective, and a histogram keyed
     by ``shares | Q`` decides what the full views decide. Per library each user's
-    ``shares | (r << pay_shift)`` is tallied once over the key draws, and the
-    histogram under d is that tally with ``e_d`` XORed into its Q field. The
-    layout comes from one ``lift_place`` and one ``lift_deliver`` on the zero
-    library, run on first use.
+    ``shares | (r << pay_shift)`` is tallied once over the key draws, its column
+    XORed up from the unit-key images, and the histogram under d is that tally
+    with ``e_d`` XORed into its Q field. The layout comes from one ``lift_place``
+    and one ``lift_deliver`` on the zero library and zero key, run on first use.
     """
 
     base: NonPrivateScheme
@@ -389,45 +392,30 @@ class LiftedInstance:
         """``columns[j-1]``: the j-th subfiles W_{1,j}, ..., W_{N,j} of library ``lib``."""
         return list(zip(*_subfiles(self.cfg, lib)))
 
-    def coeff_table(self, column: Sequence[int]) -> list[int]:
-        """``xors[coeff]``: the XOR of the column's subfiles the coefficient mask selects."""
-        return [coeff_xor(coeff, column) for coeff in range(1 << self.cfg.N)]
-
-    @cached_property
-    def _key_columns(self) -> tuple[list[list[list[int]]], list[int]]:
-        """``pcol[i-1][a-1][key]`` = p_{i,a} and ``rcol[key]`` = the packed r in the Q field
-        (shifted by ``pay_shift``), over every key draw.
-
-        Built on first use, by the full engine only: the other callers run at
-        key counts no column could hold.
-        """
-        K, t, N = self.cfg.K, self.t, self.cfg.N
-        pcol: list[list[list[int]]] = [[[] for _ in range(t)] for _ in range(K)]
-        rcol = []
-        for x in range(1 << self.key_bits):
-            keys = KeyMaterial.from_int(K, t, N, x)
-            for columns, vectors in zip(pcol, keys.p):
-                for column, v in zip(columns, vectors):
-                    column.append(v)
-            rcol.append(pack(map(keys.r, range(1, K + 1)), N) << self.pay_shift)
-        return pcol, rcol
-
     def lib_ctx(self, lib: int):
-        """Each user's tally of ``shares | (r << pay_shift)`` over the key draws, and the
-        library's coefficient tables."""
-        cfg, share_shift = self.cfg, self.share_shift
-        xors = list(map(self.coeff_table, self.columns(lib)))
-        pcol, rcol = self._key_columns
+        """Each user's tally of ``u = shares | (r << pay_shift)`` over the key draws, and the
+        library's columns.
+
+        ``u`` is linear in the key draw, so each user's column of ``u`` is doubled up from
+        its images of the ``key_bits`` unit keys, lowest key-index bit first: entry x is
+        the XOR of the images of x's set bits, and the column lists the draws in key-index
+        order. Key-index bit b is bit c of p_{i,a} (the fields of ``KeyMaterial.from_int``);
+        that unit key makes every (i, a, j) share ``column_j[c]`` and sets bit c of r_i.
+        """
+        K, t, N, width = self.cfg.K, self.t, self.cfg.N, self.cfg.subfile_bits
+        share_shift, pay_shift = self.share_shift, self.pay_shift
+        columns = self.columns(lib)
         tallies = []
         for labels in self.shares:
-            col = rcol
-            for pos, (i, a, j) in enumerate(labels):
-                # Every value of the block, packed into its slot of the share field.
-                fill = [0] * (len(labels) - 1 - pos)
-                slot = [pack([v, *fill], cfg.subfile_bits) << share_shift for v in xors[j - 1]]
-                col = list(map(or_, col, map(slot.__getitem__, pcol[i - 1][a - 1])))
+            col = [0]
+            for b in range(self.key_bits):
+                f, c = divmod(b, N)  # field f from the bottom, bit c of it
+                i, a = divmod(K * t - 1 - f, t)  # its owner and slot, 0-based
+                shares = pack((columns[j - 1][c] if (o, s) == (i + 1, a + 1) else 0 for o, s, j in labels), width)
+                image = (shares << share_shift) | (1 << (N * (K - 1 - i) + c + pay_shift))
+                col += [v ^ image for v in col]
             tallies.append(Counter(col))
-        return tallies, xors
+        return tallies, columns
 
     def demand_views(self, ctx, demands: tuple[int, ...]) -> list[dict[int, int]]:
         """Each user's histogram of ``shares | Q`` under ``demands``: its tally with
@@ -438,9 +426,9 @@ class LiftedInstance:
     def full_view(self, ctx, w: int) -> int:
         """psi: ``w | payload``, the payload of the Q field of ``w``, from the ``blocks``
         kernel over the virtual files, as ``lift_deliver`` builds it."""
-        cfg, xors = self.cfg, ctx[1]
+        cfg, columns = self.cfg, ctx[1]
         q = split((w >> self.pay_shift) & ((1 << (cfg.K * cfg.N)) - 1), cfg.K, cfg.N)
-        blocks = self.base.blocks(virtual_config(cfg), tuple(range(1, cfg.K + 1)), lambda v, j: xors[j - 1][q[v - 1]])
+        blocks = self.base.blocks(virtual_config(cfg), tuple(range(1, cfg.K + 1)), lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
         return w | pack(blocks, cfg.subfile_bits)
 
 
@@ -473,8 +461,9 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
     Per library, each demand vector's row holds every user's histogram of views
     over the key draws, as the instance gives it: a lifted one reads each from
     its per-library tally of ``shares | Q`` by translating the Q field (the
-    payload is a function of Q, so leaving it out moves no count), a keyless one
-    gives its lone view. The library-level test comes first: when every row
+    payload is a function of Q, so leaving it out moves no count), the tally's
+    column XORed up from the unit-key images with no key draw walked; a keyless
+    one gives its lone view. The library-level test comes first: when every row
     equals the first, no demand vector moves any user's view distribution, so
     every (user, own demand) cell of the library is private and the engine goes
     on to the next library. Only a library that fails it is decided cell by

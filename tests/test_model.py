@@ -8,6 +8,7 @@ from macc import (
     accessible_caches,
     all_demand_vectors,
     library_from_int,
+    make_scheme,
     mod_index,
     pack,
     random_library,
@@ -91,6 +92,19 @@ def test_accessible_caches_windows():
     assert accessible_caches(1, cfg) == [1, 2, 3]
     assert accessible_caches(4, cfg) == [4, 5, 1]
     assert accessible_caches(5, cfg) == [5, 1, 2]
+
+
+def test_equal_network_configs_hash_equal_and_share_cached_plans():
+    a, b = NetworkConfig(4, 2, 3, 8, 4), NetworkConfig(4, 2, 3, 8, 4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert repr(a) == "NetworkConfig(K=4, L=2, N=3, F=8, subfiles_per_file=4)"
+    assert a != NetworkConfig(4, 2, 2, 8, 4)
+    with pytest.raises(AttributeError):
+        a.N = 2  # frozen
+    scheme, demands = make_scheme("cyclic-uncoded", 1), (1, 2, 3, 1)
+    # One cache entry serves both configs: the second lookup returns the first's objects.
+    assert scheme._plan(a, demands) is scheme._plan(b, demands)
+    assert scheme._peel(a, demands) is scheme._peel(b, demands)
 
 
 def test_network_config_validation():

@@ -1051,6 +1051,70 @@ def test_full_engine_histograms_are_the_lifting_code_views(drawn):
     assert repr(verify_privacy_exact(inst, engine="full")) == repr(_per_state_full_engine(inst))
 
 
+@pytest.mark.parametrize(
+    "base, cfg, offsets, n_libs",
+    [
+        (make_scheme("cyclic-uncoded", 1), NetworkConfig(3, 2, 2, 3, 3), (1,), None),
+        (make_scheme("example1"), NetworkConfig(3, 2, 2, 3, 3), (1, 2), 8),
+    ],
+    ids=["cyclic-uncoded-K3-L2-tp1-every-library", "example1-N2-8-libraries"],
+)
+def test_lifted_histograms_list_views_in_key_index_order(base, cfg, offsets, n_libs):
+    # The witnesses depend on each histogram's first-occurrence order, which a
+    # comparison of Counters cannot see: compare the item lists with a tally of the
+    # per-draw views, payload cleared, made in key-index order.
+    inst = LiftedInstance(base, cfg, offsets)
+    all_libs = range(1 << (cfg.N * cfg.F))
+    libs = all_libs if n_libs is None else sorted(random.Random(27).sample(all_libs, n_libs))
+    for lib in libs:
+        ctx = inst.lib_ctx(lib)
+        for d in all_demand_vectors(cfg.N, cfg.K):
+            want = [Counter(v >> inst.pay_shift << inst.pay_shift for v in views) for views in _per_key_views(inst, lib, d)]
+            assert [list(h.items()) for h in inst.demand_views(ctx, d)] == [list(c.items()) for c in want]
+
+
+def test_full_engine_walks_no_key_draws(monkeypatch):
+    # The README keyed command's instance has 4,096 key draws. The layout is read at
+    # the zero key; every other draw's view is XORed up from the unit-key images.
+    real = KeyMaterial.from_int.__func__
+    drawn = []
+    monkeypatch.setattr(KeyMaterial, "from_int", classmethod(lambda cls, *a: drawn.append(a[-1]) or real(cls, *a)))
+    inst = LiftedInstance(make_scheme("example1"), NetworkConfig(3, 2, 2, 3, 3), (1, 2))
+    assert inst.key_bits == 12
+    report = verify_privacy_exact(inst, engine="full")
+    assert report.engine == "full" and report.private
+    assert drawn and set(drawn) == {0}
+
+
+@pytest.mark.parametrize("tp", [0, 1], ids=["tp0", "tp1"])
+def test_engines_catch_a_first_share_moved_next_to_its_neighbour(monkeypatch, tp):
+    # User k's first key share lands in cache k + L - 1, beside its second: user k
+    # still reads both, so it still decodes, but user k + 1 now sees both too.
+    # Moving the last share instead would change nothing: at these offsets the last
+    # offset is L, so the last share already sits in cache k + L - 1.
+    base, cfg, offsets = make_scheme("cyclic-uncoded", tp), NetworkConfig(3, 2, 2, 3, 3), (1, 2)
+    K, L = cfg.K, cfg.L
+    assert all(share_cache(offsets, k, len(offsets), K) == macc.model.mod_index(k + L - 1, K) for k in range(1, K + 1))
+    lib = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, 27)
+    files = [lib.file(n) for n in range(1, cfg.N + 1)]
+
+    def verdicts():
+        inst = LiftedInstance(base, cfg, offsets)  # built here: ``shares`` is read once per instance
+        reports = [verify_privacy_exact(inst, engine=engine) for engine in ("full", "factored")]
+        decoded = verify_decodability(make_lifted_runner(base, cfg, offsets, lib), K, cfg.N, files, seeds=(0, 1))
+        assert decoded.ok and decoded.checked == 2 * cfg.N**K
+        return [[u.private for u in report.users] for report in reports]
+
+    assert verdicts() == [[True] * K] * 2
+    real = share_cache
+    monkeypatch.setattr(
+        macc.lifting,
+        "share_cache",
+        lambda offs, k, alpha, K: macc.model.mod_index(k + L - 1, K) if alpha == 1 else real(offs, k, alpha, K),
+    )
+    assert verdicts() == [[False] * K] * 2
+
+
 def test_users_missing_no_subfile_need_no_key_shares():
     # Cyclic-uncoded K=4, L=2, t_p=2: every window holds all four subfile indices,
     # so no key share is placed and even offsets that are no private set verify private.
