@@ -31,43 +31,31 @@ verdict covers, and each engine refuses up front when it exceeds the budget.
 
 Views come from the scheme code that runs, not from a model of it. A lifted
 scheme's layout (the key-share labels in each user's caches) is read from one
-``lift_place`` call, and its payload blocks from the base scheme's ``blocks``,
-the kernel ``deliver`` and ``lift_deliver`` run, over the virtual subfiles. A
-non-private scheme is seen through that same ``blocks``, the baseline through
-``baseline_broadcast``, the kernel of ``baseline_deliver``. A user's cached
-content that no key touches (its subfiles, the baseline's AIR blocks) is
-fixed within a (library, user) cell, so it is left out of the view; that moves
-no histogram and no MI.
+``lift_place`` call. A non-private scheme is seen through its ``blocks``, the
+kernel ``deliver`` runs, and the baseline through ``baseline_broadcast``, the
+kernel of ``baseline_deliver``. Within a (library, user) cell a view leaves out
+what the rest of it fixes: the user's cached content that no key touches (its
+subfiles, the baseline's AIR blocks), and a lifted broadcast's payload, which
+``lift_deliver`` builds from the library and Q alone. Leaving out a function of
+what stays moves no histogram and no MI.
 
-Every instance exposes ``cfg``, ``key_bits``, ``lib_ctx``, ``demand_views``, and
-the engines read the instance itself. ``lib_ctx(lib)`` gives the per-library
+Every instance exposes ``cfg``, ``key_bits``, ``lib_ctx`` and ``demand_views``,
+and the engines read the instance itself. ``lib_ctx(lib)`` gives the per-library
 tables and ``demand_views(ctx, d)`` gives each user's histogram of views over
-the key draws (a keyless scheme's lone view, as a 1-tuple). The full engine
-splits into (user, own demand) cells only a library where some demand vector
-moves some user's histogram. A lifted view is one int at fixed field widths::
-
-    (share blocks << share_shift) | (packed Q << pay_shift) | payload
-
-The share blocks are the user's key shares in view order (caches ascending,
-then by label). The packed Q holds column k at bit offset ``N*(K-k)``. The
-payload is the plan's blocks in order. The broadcast depends on keys and
-demands only through ``Q = r XOR e_d``, so with ``u_k(x) = shares_k(x) |
-(r(x) << pay_shift)`` over key draws x, user k's view under d is
-``psi(u_k(x) XOR (e_d << pay_shift))``, where ``psi(w) = w | payload(Q field
-of w)``. ``psi`` keeps every bit of w in place and ORs the payload into the
-low field, which w leaves zero, so it is injective. Per library the engine
-therefore tallies ``u_k`` once per user, and reads the histogram under each d
-off that tally by translating its Q field: a keyed histogram is keyed by
-``shares | Q``, with no payload. An injective relabelling moves no histogram
-equality, no count and no first-occurrence order, so no verdict and no MI
-float. The payload, a function of (library, Q), joins only a witness's
-``distinguishing_view``: the engine maps a leaking cell through ``psi``
-(``LiftedInstance.full_view``) before it picks one. Every key share is
-``p_{i,a}`` times a subfile column and r is the XOR of the p's, so ``u_k`` is
-linear in the key draw: its column over the draws is doubled up from the images
-of the ``key_bits`` unit keys, read off the library's columns, and no key draw
-is walked. Every field is cut and joined by the layout kernels of ``model``
-(``pack``, ``split``).
+the key draws, a dict from view to count (a keyless scheme's lone view as the
+point mass ``{view: 1}``). The full engine splits into (user, own demand) cells
+only a library where some demand vector moves some user's histogram. A lifted
+view is one int at fixed field widths, ``(shares << K*N) | Q``: the user's key
+shares in view order (caches ascending, then by label) above the packed Q,
+which holds column k at bit offset ``N*(K-k)``. Since ``Q = r XOR e_d``, user
+k's view under d is ``u_k(x) XOR e_d`` with ``u_k(x) = (shares_k(x) << K*N) |
+r(x)`` over key draws x. Per library the engine therefore tallies ``u_k`` once
+per user, and reads the histogram under each d off that tally by XORing ``e_d``
+into its Q field. Every key share is ``p_{i,a}`` times a subfile column and r is
+the XOR of the p's, so ``u_k`` is linear in the key draw: its column over the
+draws is doubled up from the images of the ``key_bits`` unit keys, read off the
+library's columns, and no key draw is walked. Every field is cut and joined by
+the layout kernels of ``model`` (``pack``, ``split``).
 """
 
 from __future__ import annotations
@@ -77,13 +65,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import combinations, product, repeat
+from itertools import product, repeat
 from operator import itemgetter, xor
 from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
 from .gf2 import coeff_xor, coset_least, span_basis
-from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place, share_cache, virtual_config
+from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place
 from .model import (
     Bits,
     NetworkConfig,
@@ -304,9 +292,10 @@ class PrivacyReport:
 # --------------------------------------------------------------------------
 # Privacy instances: ``lib_ctx`` maps a library index to per-library tables;
 # ``demand_views(ctx, d)`` gives, per user, that user's histogram of views over
-# every key draw (a keyless scheme's lone view). A view leaves out the user's
-# cached content that no key touches, which is fixed within a (library, user)
-# cell and so moves no histogram and no MI.
+# every key draw as a dict from view to count (a keyless scheme's lone view as
+# ``{view: 1}``). A view leaves out what is fixed within a (library, user) cell
+# given the rest of it: the user's cached content that no key touches, and a
+# lifted payload. That moves no histogram and no MI.
 
 
 def _subfiles(cfg: NetworkConfig, lib: int) -> list[list[int]]:
@@ -330,24 +319,21 @@ class NonPrivateInstance:
 
     def demand_views(self, files: list[list[int]], demands: tuple[int, ...]):
         blocks = self.scheme.blocks(self.cfg, demands, lambda n, j: files[n - 1][j - 1])
-        return [(pack(blocks, self.cfg.subfile_bits),)] * self.cfg.K
+        return [{pack(blocks, self.cfg.subfile_bits): 1}] * self.cfg.K
 
 
 @dataclass(frozen=True)
 class LiftedInstance:
-    """A lifted scheme: the layout of ``lift_place``, the base payload over virtual files.
+    """A lifted scheme: the key-share layout of ``lift_place``.
 
-    A view is the int ``(shares << share_shift) | (Q << pay_shift) | payload``:
-    the user's key-share blocks in view order, the packed Q (column 1 in the
-    top N bits) and the payload blocks in plan order, each field at a fixed
-    width. The payload depends on the keys and demands only through Q, so
-    ``full_view`` (psi) adds it to ``shares | Q`` and nothing else does: psi
-    leaves every other bit in place, so it is injective, and a histogram keyed
-    by ``shares | Q`` decides what the full views decide. Per library each user's
-    ``shares | (r << pay_shift)`` is tallied once over the key draws, its column
-    XORed up from the unit-key images, and the histogram under d is that tally
-    with ``e_d`` XORed into its Q field. The layout comes from one ``lift_place``
-    and one ``lift_deliver`` on the zero library and zero key, run on first use.
+    A view is the int ``(shares << K*N) | Q``: the user's key-share blocks in view
+    order above the packed Q (column 1 in the top N bits). The payload is left
+    out for the reason the cached subfiles are: ``lift_deliver`` builds it from
+    the library and Q alone, so within a library it is a function of the view.
+    Per library each user's ``(shares << K*N) | r`` is tallied once over the key
+    draws, its column XORed up from the unit-key images, and the histogram under
+    d is that tally with ``e_d`` XORed into its Q field. The layout comes from one
+    ``lift_place`` on the zero library and zero key, run on first use.
     """
 
     base: NonPrivateScheme
@@ -362,39 +348,23 @@ class LiftedInstance:
     def key_bits(self) -> int:
         return self.cfg.K * self.t * self.cfg.N
 
-    def _zero(self) -> tuple[SubfileLibrary, KeyMaterial]:
-        cfg = self.cfg
-        return (
-            library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0),
-            KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0),
-        )
-
     @cached_property
     def shares(self) -> list[tuple[tuple[int, int, int], ...]]:
         """Key-share labels (owner, alpha, j) in each user's caches: caches ascending, then by
         label, the order in which ``lift_place`` inserts them."""
-        cfg, (library, keys) = self.cfg, self._zero()
+        cfg = self.cfg
+        library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0)
+        keys = KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0)
         placement = lift_place(self.base, cfg, self.offsets, library, keys, enforce_private=False)
         windows = [sorted(accessible_caches(k, cfg)) for k in range(1, cfg.K + 1)]
         return [tuple(lb[1:] for c in w for lb in placement[c - 1] if lb[0] == "S") for w in windows]
-
-    @cached_property
-    def pay_shift(self) -> int:
-        library, keys = self._zero()
-        zero_tx = lift_deliver(self.base, self.cfg, keys, library, (1,) * self.cfg.K)
-        return len(zero_tx.blocks) * self.cfg.subfile_bits
-
-    @property
-    def share_shift(self) -> int:
-        return self.pay_shift + self.cfg.K * self.cfg.N
 
     def columns(self, lib: int) -> list[tuple[int, ...]]:
         """``columns[j-1]``: the j-th subfiles W_{1,j}, ..., W_{N,j} of library ``lib``."""
         return list(zip(*_subfiles(self.cfg, lib)))
 
-    def lib_ctx(self, lib: int):
-        """Each user's tally of ``u = shares | (r << pay_shift)`` over the key draws, and the
-        library's columns.
+    def lib_ctx(self, lib: int) -> list[Counter]:
+        """Each user's tally of ``u = (shares << K*N) | r`` over the key draws.
 
         ``u`` is linear in the key draw, so each user's column of ``u`` is doubled up from
         its images of the ``key_bits`` unit keys, lowest key-index bit first: entry x is
@@ -403,7 +373,6 @@ class LiftedInstance:
         that unit key makes every (i, a, j) share ``column_j[c]`` and sets bit c of r_i.
         """
         K, t, N, width = self.cfg.K, self.t, self.cfg.N, self.cfg.subfile_bits
-        share_shift, pay_shift = self.share_shift, self.pay_shift
         columns = self.columns(lib)
         tallies = []
         for labels in self.shares:
@@ -412,24 +381,16 @@ class LiftedInstance:
                 f, c = divmod(b, N)  # field f from the bottom, bit c of it
                 i, a = divmod(K * t - 1 - f, t)  # its owner and slot, 0-based
                 shares = pack((columns[j - 1][c] if (o, s) == (i + 1, a + 1) else 0 for o, s, j in labels), width)
-                image = (shares << share_shift) | (1 << (N * (K - 1 - i) + c + pay_shift))
+                image = (shares << (K * N)) | (1 << (N * (K - 1 - i) + c))
                 col += [v ^ image for v in col]
             tallies.append(Counter(col))
-        return tallies, columns
+        return tallies
 
-    def demand_views(self, ctx, demands: tuple[int, ...]) -> list[dict[int, int]]:
-        """Each user's histogram of ``shares | Q`` under ``demands``: its tally with
+    def demand_views(self, tallies: list[Counter], demands: tuple[int, ...]) -> list[dict[int, int]]:
+        """Each user's histogram of ``(shares << K*N) | Q`` under ``demands``: its tally with
         ``e_d`` XORed into the Q field, in the tally's order."""
-        e_d = pack((1 << (d - 1) for d in demands), self.cfg.N) << self.pay_shift
-        return [dict(zip(map(xor, tally, repeat(e_d)), tally.values())) for tally in ctx[0]]
-
-    def full_view(self, ctx, w: int) -> int:
-        """psi: ``w | payload``, the payload of the Q field of ``w``, from the ``blocks``
-        kernel over the virtual files, as ``lift_deliver`` builds it."""
-        cfg, columns = self.cfg, ctx[1]
-        q = split((w >> self.pay_shift) & ((1 << (cfg.K * cfg.N)) - 1), cfg.K, cfg.N)
-        blocks = self.base.blocks(virtual_config(cfg), tuple(range(1, cfg.K + 1)), lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
-        return w | pack(blocks, cfg.subfile_bits)
+        e_d = pack((1 << (d - 1) for d in demands), self.cfg.N)
+        return [dict(zip(map(xor, tally, repeat(e_d)), tally.values())) for tally in tallies]
 
 
 @dataclass(frozen=True)
@@ -445,7 +406,7 @@ class BaselineInstance:
 
     def lib_ctx(self, lib: int):
         p = self.params
-        return [(baseline_broadcast(p, split(lib, p.N, p.F)),)] * p.K
+        return [{baseline_broadcast(p, split(lib, p.N, p.F)): 1}] * p.K
 
     def demand_views(self, ctx, demands):
         return ctx  # demand-independent by construction
@@ -460,22 +421,22 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
 
     Per library, each demand vector's row holds every user's histogram of views
     over the key draws, as the instance gives it: a lifted one reads each from
-    its per-library tally of ``shares | Q`` by translating the Q field (the
-    payload is a function of Q, so leaving it out moves no count), the tally's
-    column XORed up from the unit-key images with no key draw walked; a keyless
-    one gives its lone view. The library-level test comes first: when every row
-    equals the first, no demand vector moves any user's view distribution, so
-    every (user, own demand) cell of the library is private and the engine goes
-    on to the next library. Only a library that fails it is decided cell by
-    cell: a cell is private when its histograms are all equal. Otherwise its MI is
-    the entropy of its ``d_{-k}``'s classes, a class being the first equal
-    histogram: a keyless view is a point mass, and a lifted histogram is uniform
-    on a coset of the span of its unit-key images, so classes are flat, of one
-    size and disjoint. The engine checks that premise in each lifted cell and
-    raises ``RuntimeError`` naming the cell where it fails. Each user's first
-    leaking cell gives its witness, whose histograms a lifted instance first
-    maps through ``full_view`` so the distinguishing view is the whole view.
-    Both tests compare plain dicts and tuples, in C.
+    its per-library tally of ``(shares << K*N) | Q`` by translating the Q field,
+    the tally's column XORed up from the unit-key images with no key draw
+    walked; a keyless one gives its lone view as a point mass. The library-level
+    test comes first: when every row equals the first, no demand vector moves
+    any user's view distribution, so every (user, own demand) cell of the
+    library is private and the engine goes on to the next library. Only a
+    library that fails it is decided cell by cell: a cell is private when its
+    histograms are all equal. Otherwise its MI is the entropy of its
+    ``d_{-k}``'s classes, a class being the first equal histogram: a keyless
+    view is a point mass, and a lifted histogram is uniform on a coset of the
+    span of its unit-key images, so classes are flat, of one size and disjoint.
+    The engine checks that premise in every split cell and raises
+    ``RuntimeError`` naming the cell where it fails. Each user's first leaking
+    cell gives its witness: the cell's first ``d_{-k}`` against the first one
+    outside its class, and a view whose counts they differ on. Both tests
+    compare plain dicts, in C.
     """
     N, K, lib_bits = inst.cfg.N, inst.cfg.K, inst.cfg.N * inst.cfg.F
     states = (1 << lib_bits) * (1 << inst.key_bits) * N**K
@@ -492,17 +453,15 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
         for di, d in enumerate(demand_list):
             groups.setdefault(d[k0], []).append(di)
         by_dk.append([(d_k, idxs, itemgetter(*idxs)) for d_k, idxs in groups.items()])
-    lifted = isinstance(inst, LiftedInstance)
     mi_sum: list = [Fraction(0)] * K
     witness: list = [None] * K
     n_cells = (1 << lib_bits) * N
     rows: list = []  # rows[di]: the K histograms under demand vector di
     for lib in range(1 << lib_bits):
-        ctx = inst.lib_ctx(lib)
         # Emptying the list before refilling it keeps the last library's rows from
         # being held next to this one's.
         rows.clear()
-        rows.extend(map(inst.demand_views, repeat(ctx), demand_list))
+        rows.extend(map(inst.demand_views, repeat(inst.lib_ctx(lib)), demand_list))
         if rows.count(rows[0]) == len(rows):
             continue
         for k0, column in enumerate(zip(*rows)):
@@ -510,38 +469,28 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
                 group = pick(column)
                 if group.count(group[0]) == len(group):
                     continue
+                # I = H(class) needs flat classes, all of one size and pairwise disjoint
                 classes = list(map(group.index, group))
-                if lifted:  # I = H(class) needs flat classes, all of one size and pairwise disjoint
-                    reps = [group[c] for c in set(classes)]
-                    flat = {(len(h), len(set(h.values()))) for h in reps} == {(len(group[0]), 1)}
-                    if not flat or len(set().union(*reps)) != len(reps) * len(group[0]):
-                        raise RuntimeError(f"user {k0 + 1}, library {lib}, own demand {d_k}: classes are not cosets")
+                reps = [group[c] for c in set(classes)]
+                flat = {(len(h), len(set(h.values()))) for h in reps} == {(len(group[0]), 1)}
+                if not flat or len(set().union(*reps)) != len(reps) * len(group[0]):
+                    raise RuntimeError(f"user {k0 + 1}, library {lib}, own demand {d_k}: classes are not cosets")
                 mi_sum[k0] = mi_sum[k0] + _class_entropy(classes)
                 if witness[k0] is None:
-                    cell = [(rest[k0][i], Counter(h)) for i, h in zip(idxs, group)]
-                    if lifted:
-                        cell = [(r, Counter({inst.full_view(ctx, v): c for v, c in h.items()})) for r, h in cell]
-                    witness[k0] = _find_witness(cell, lib, d_k)
+                    b = next(i for i, c in enumerate(classes) if c)
+                    ha, hb = group[0], group[b]
+                    witness[k0] = {
+                        "library": lib,
+                        "own_demand": d_k,
+                        "other_demands_a": list(rest[k0][idxs[0]]),
+                        "other_demands_b": list(rest[k0][idxs[b]]),
+                        "distinguishing_view": repr(next(v for v in set(ha) | set(hb) if ha.get(v) != hb.get(v))),
+                    }
     report = PrivacyReport("full", states)
     for k0 in range(K):
         mi = mi_sum[k0] / n_cells if mi_sum[k0] else Fraction(0)
         report.users.append(UserPrivacyVerdict(k0 + 1, witness[k0] is None, mi, witness[k0]))
     return report
-
-
-def _find_witness(cell, lib, d_k):
-    """Two other-demand vectors in one cell whose view counts differ, and a view they split on."""
-    for (ra, ha), (rb, hb) in combinations(cell, 2):
-        if ha != hb:
-            view = next(v for v in set(ha) | set(hb) if ha[v] != hb[v])
-            return {
-                "library": lib,
-                "own_demand": d_k,
-                "other_demands_a": list(ra),
-                "other_demands_b": list(rb),
-                "distinguishing_view": repr(view),
-            }
-    return None
 
 
 def _class_entropy(classes: Sequence) -> Union[Fraction, float]:
@@ -671,15 +620,10 @@ def _remark1_attacker(
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
     placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
 
-    # User L reads those of user 1's key shares of subfile j0 that the placement
-    # rule puts in its own caches.
+    # User L XORs those of user 1's key shares of subfile j0 that its own window holds.
     j0 = min(base.missing_subfile_indices(cfg, 1))
-    seen, window = cached_block(cfg, cfg.L, placement), accessible_caches(cfg.L, cfg)
-    key_estimate = reduce(xor, (
-        seen["S", 1, alpha, j0]
-        for alpha in range(1, len(offsets) + 1)
-        if share_cache(offsets, 1, alpha, cfg.K) in window
-    ), 0)
+    window = cached_block(cfg, cfg.L, placement)
+    key_estimate = reduce(xor, (v for label, v in window.items() if label[:2] == ("S", 1) and label[-1] == j0), 0)
     column = library.column(j0)
 
     def trial(demands: Sequence[int]) -> int:
@@ -687,7 +631,7 @@ def _remark1_attacker(
         candidate = coeff_xor(tx.q_columns[0], column) ^ key_estimate
         if candidate in column:
             return column.index(candidate) + 1
-        return candidate % cfg.N + 1  # no match: effectively a chance guess
+        return candidate % cfg.N + 1  # no match: fixed by the key seed; near 1/N only over many seeds
 
     return trial
 

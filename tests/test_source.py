@@ -57,6 +57,25 @@ def test_no_engine_calls_the_joint_table_mi():
     assert found == []
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # An import that outlives the code that read it misstates what a module depends
+    # on. ``__init__.py`` imports to re-export, so it is left out, and so is
+    # ``from __future__ import annotations``, which binds no name the code reads.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
 def test_a_failing_property_test_cannot_abort_the_session(request):
     # A failing ``@given`` test makes hypothesis's pytest plugin import
     # ``hypothesis.extra._patching``. Under ``filterwarnings = ["error"]`` a

@@ -282,6 +282,22 @@ def test_remark1_attack_fails_against_private_set():
     assert rate < 1
 
 
+def test_remark1_attack_reads_the_shares_its_own_window_holds(monkeypatch):
+    # The attacker (user L = 3) XORs whichever of user 1's shares of subfile j0 its
+    # window holds, wherever the placement put them, not where the placement rule
+    # says they go.
+    cfg = NetworkConfig(4, 3, 3, 32, 4)
+    base = make_scheme("cyclic-uncoded", 1)
+    lib = _distinct_library(cfg)
+    # Every share of user k in cache k + L - 1: user 3 holds all of user 1's shares.
+    monkeypatch.setattr(macc.lifting, "share_cache", lambda offs, k, alpha, K: macc.model.mod_index(k + cfg.L - 1, K))
+    assert attack_success_rate(base, cfg, (1, 2, 3), lib, seeds=[7, 8, 9]) == 1
+    # Every share of user k in cache k + 1: user 3 reaches caches 3, 4 and 1, so it
+    # holds none of user 1's shares and strips nothing.
+    monkeypatch.setattr(macc.lifting, "share_cache", lambda offs, k, alpha, K: macc.model.mod_index(k + 1, K))
+    assert attack_success_rate(base, cfg, (1, 3), lib, seeds=[7, 8, 9]) < 1
+
+
 def _distinct_library(cfg):
     seed = 100
     while True:
@@ -937,39 +953,32 @@ def _key_draws(K, t, N):
 
 @lru_cache(maxsize=1)  # callers walk libraries in order
 def _per_key_fields(inst, lib):
-    """Library ``lib``'s ``T[Q] = (Q << pay_shift) | payload`` for every packed Q (the
-    payload from the ``blocks`` kernel over the virtual files), the packed r of every
-    key draw, and each user's ``shares << share_shift`` of every key draw."""
+    """Library ``lib``'s packed r of every key draw, and each user's ``shares << K*N`` of
+    every key draw."""
     cfg = inst.cfg
     K, N, b = cfg.K, cfg.N, cfg.subfile_bits
     xors = [[coeff_xor(coeff, column) for coeff in range(1 << N)] for column in inst.columns(lib)]
-    users = tuple(range(1, K + 1))
-    table = []
-    for q_packed in range(1 << (K * N)):
-        q = split(q_packed, K, N)
-        blocks = inst.base.blocks(virtual_config(cfg), users, lambda v, j: xors[j - 1][q[v - 1]])
-        table.append((q_packed << inst.pay_shift) | pack(blocks, b))
     draws = _key_draws(K, inst.t, N)
-    rs = [pack(map(keys.r, users), N) for keys in draws]
+    rs = [pack(map(keys.r, range(1, K + 1)), N) for keys in draws]
     shares = [
-        [pack((xors[j - 1][keys.p[i - 1][a - 1]] for i, a, j in labels), b) << inst.share_shift for keys in draws]
+        [pack((xors[j - 1][keys.p[i - 1][a - 1]] for i, a, j in labels), b) << (K * N) for keys in draws]
         for labels in inst.shares
     ]
-    return table, rs, shares
+    return rs, shares
 
 
 def _per_key_views(inst, lib, d):
-    """Each user's full view int for every key draw, in key index order, made key by key:
-    ``(shares << share_shift) | T[r XOR e_d]``. This is the full engine's view formula
-    before it tallied each user's key draws once per library."""
-    table, rs, shares = _per_key_fields(inst, lib)
+    """Each user's view int for every key draw, in key index order, made key by key:
+    ``(shares << K*N) | (r XOR e_d)``. This is the full engine's view formula before it
+    tallied each user's key draws once per library."""
+    rs, shares = _per_key_fields(inst, lib)
     e_d = pack((1 << (x - 1) for x in d), inst.cfg.N)
-    return [[s | table[r ^ e_d] for s, r in zip(column, rs)] for column in shares]
+    return [[s | (r ^ e_d) for s, r in zip(column, rs)] for column in shares]
 
 
 def _lifting_code_views(inst, library, keys, demands):
     """Each user's view int, field by field from ``lift_place`` and ``lift_deliver``:
-    its key shares (caches ascending, then by label), the packed Q and the payload."""
+    its key shares (caches ascending, then by label) and the packed Q."""
     cfg, b = inst.cfg, inst.cfg.subfile_bits
     placement = lift_place(inst.base, cfg, inst.offsets, library, keys, enforce_private=False)
     tx = lift_deliver(inst.base, cfg, keys, library, demands)
@@ -981,7 +990,7 @@ def _lifting_code_views(inst, library, keys, demands):
             for label, v in placement[c - 1].items():
                 if label[0] == "S":
                     shares = (shares << b) | v
-        views.append((shares << inst.share_shift) | (q << inst.pay_shift) | pack(tx.blocks, b))
+        views.append((shares << (cfg.K * cfg.N)) | q)
     return views
 
 
@@ -994,9 +1003,8 @@ def _lifting_code_views(inst, library, keys, demands):
     ids=["example1-N2", "cyclic-uncoded-K3-L2-tp1"],
 )
 def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
-    """Every field of the full engine's view int, payload and Q included, is read off
-    ``lift_place``/``lift_deliver``: verdicts alone cannot see a field the others determine.
-    The engine's histogram holds ``shares | Q`` of the state, and ``full_view`` adds the payload."""
+    """Every field of the full engine's view int, key shares and Q, is read off
+    ``lift_place``/``lift_deliver``: verdicts alone cannot see a field the others determine."""
     en = LiftedInstance(base, cfg, offsets)
     K, N, b = cfg.K, cfg.N, cfg.subfile_bits
     rng = random.Random(6)
@@ -1008,13 +1016,50 @@ def test_lifted_view_ints_are_the_lifting_code_output(base, cfg, offsets):
         keys = KeyMaterial.from_int(K, len(offsets), N, key_index)
         want = _lifting_code_views(en, library, keys, demands)
         reference = _per_key_views(en, lib_index, demands)
-        ctx = en.lib_ctx(lib_index)
-        hists = en.demand_views(ctx, demands)
+        hists = en.demand_views(en.lib_ctx(lib_index), demands)
         for k in range(K):
             assert reference[k][key_index] == want[k]
-            partial = want[k] >> en.pay_shift << en.pay_shift  # shares | Q, payload cleared
-            assert hists[k][partial] > 0 and sum(hists[k].values()) == 1 << en.key_bits
-            assert en.full_view(ctx, partial) == want[k]
+            assert hists[k][want[k]] > 0 and sum(hists[k].values()) == 1 << en.key_bits
+
+
+def _payloads_by_q(base, cfg, library, key_draws):
+    """Every ``lift_deliver`` payload over the key draws and every demand vector, grouped
+    by the transmission's Q columns."""
+    by_q = {}
+    for keys in key_draws:
+        for d in all_demand_vectors(cfg.N, cfg.K):
+            tx = macc.lifting.lift_deliver(base, cfg, keys, library, d)
+            by_q.setdefault(tx.q_columns, set()).add(tx.blocks)
+    return by_q
+
+
+def test_lifted_payload_is_a_function_of_the_library_and_q(monkeypatch):
+    # A lifted view leaves the payload out because, within a library, the payload is
+    # fixed by Q: each Q that several (key draw, demand vector) states share carries
+    # one block tuple.
+    base, cfg = make_scheme("cyclic-uncoded", 1), NetworkConfig(3, 2, 2, 3, 3)
+    libs = [
+        library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, x)
+        for x in random.Random(28).sample(range(1 << (cfg.N * cfg.F)), 8)
+    ]
+    draws = _key_draws(cfg.K, 1, cfg.N)
+    for library in libs:
+        by_q = _payloads_by_q(base, cfg, library, draws)
+        assert len(by_q) == 1 << (cfg.K * cfg.N) and all(len(payloads) == 1 for payloads in by_q.values())
+    example1 = make_scheme("example1")
+    library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 27)
+    draws = random.Random(28).sample(_key_draws(cfg.K, 2, cfg.N), 512)
+    by_q = _payloads_by_q(example1, cfg, library, draws)
+    assert len(by_q) == 1 << (cfg.K * cfg.N) and all(len(payloads) == 1 for payloads in by_q.values())
+    # A payload that reads user 1's demand besides Q breaks it.
+    real = macc.lifting.lift_deliver
+
+    def leaky(base, cfg, keys, library, demands):
+        tx = real(base, cfg, keys, library, demands)
+        return replace(tx, blocks=(tx.blocks[0] ^ (demands[0] - 1),) + tx.blocks[1:])
+
+    monkeypatch.setattr(macc.lifting, "lift_deliver", leaky)
+    assert any(len(payloads) > 1 for payloads in _payloads_by_q(base, cfg, libs[0], _key_draws(cfg.K, 1, cfg.N)).values())
 
 
 @st.composite
@@ -1047,7 +1092,7 @@ def test_full_engine_histograms_are_the_lifting_code_views(drawn):
     ctx = inst.lib_ctx(lib)
     for d in demand_list:
         hists = inst.demand_views(ctx, d)
-        assert [Counter({inst.full_view(ctx, w): c for w, c in h.items()}) for h in hists] == want[d]
+        assert [Counter(h) for h in hists] == want[d]
     assert repr(verify_privacy_exact(inst, engine="full")) == repr(_per_state_full_engine(inst))
 
 
@@ -1062,14 +1107,14 @@ def test_full_engine_histograms_are_the_lifting_code_views(drawn):
 def test_lifted_histograms_list_views_in_key_index_order(base, cfg, offsets, n_libs):
     # The witnesses depend on each histogram's first-occurrence order, which a
     # comparison of Counters cannot see: compare the item lists with a tally of the
-    # per-draw views, payload cleared, made in key-index order.
+    # per-draw views made in key-index order.
     inst = LiftedInstance(base, cfg, offsets)
     all_libs = range(1 << (cfg.N * cfg.F))
     libs = all_libs if n_libs is None else sorted(random.Random(27).sample(all_libs, n_libs))
     for lib in libs:
         ctx = inst.lib_ctx(lib)
         for d in all_demand_vectors(cfg.N, cfg.K):
-            want = [Counter(v >> inst.pay_shift << inst.pay_shift for v in views) for views in _per_key_views(inst, lib, d)]
+            want = [Counter(views) for views in _per_key_views(inst, lib, d)]
             assert [list(h.items()) for h in inst.demand_views(ctx, d)] == [list(c.items()) for c in want]
 
 
@@ -1297,21 +1342,20 @@ def test_full_engine_matches_references_on_random_instances(inst):
 
 
 @pytest.mark.parametrize(
-    "L, tp, private, most",
-    [(1, 1, True, 1), (2, 0, False, 4096)],
+    "L, tp, private",
+    [(1, 1, True), (2, 0, False)],
     ids=["K3-L1-tp1-private", "K3-L2-tp0-leak"],
 )
-def test_full_engine_makes_no_payload_per_q(monkeypatch, L, tp, private, most):
-    # A private lifted instance needs one payload, the layout's ``lift_deliver``; a leak
-    # adds one per distinct view of the cells its witnesses map, never one per packed Q
-    # per library (4,097 here).
+def test_full_engine_makes_no_payload_per_q(monkeypatch, L, tp, private):
+    # A lifted view is its key shares and Q, so the full engine builds no payload:
+    # not for the layout, and not for a leak's witness.
     calls = []
     real = macc.schemes.NonPrivateScheme.blocks
     monkeypatch.setattr(macc.schemes.NonPrivateScheme, "blocks", lambda *a: calls.append(1) or real(*a))
     inst = LiftedInstance(make_scheme("cyclic-uncoded", tp), NetworkConfig(3, L, 2, 3, 3), (1,))
     report = verify_privacy_exact(inst, engine="full")
     assert report.private == private
-    assert 1 <= len(calls) <= most
+    assert calls == []
 
 
 def test_full_engine_makes_every_library_and_demand_view(monkeypatch):
@@ -1358,8 +1402,8 @@ def test_building_an_instance_runs_no_lifting_code(monkeypatch):
     lifted = LiftedInstance(make_scheme("example1"), cfg, (1, 2))
     assert calls == {}
     # The layout is read on first use, once.
-    assert lifted.shares is lifted.shares and lifted.share_shift > lifted.pay_shift
-    assert calls == {"lift_place": 1, "lift_deliver": 1}
+    assert lifted.shares is lifted.shares
+    assert calls == {"lift_place": 1}
 
 
 def test_instances_are_checked_before_any_enumeration():
