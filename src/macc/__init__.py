@@ -19,6 +19,7 @@ from .gf2 import (
 from .lifting import (
     KeyMaterial,
     lift_decode,
+    lift_decoder,
     lift_deliver,
     lift_place,
     lifted_memory,

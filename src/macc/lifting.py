@@ -6,11 +6,14 @@ and stores one coded key share per missing subfile index in that slot's cache,
 under the label ``("S", k, alpha, j)``.
 Delivery masks each demand inside a coefficient column q_k and runs the base
 scheme over K virtual files, one per user; the payload stays the base plan's
-block tuple. A user decodes from the broadcast and its window alone (the caches
-it reaches, what ``model.cached_block`` returns): ``lift_decode`` peels the base
-plan of the virtual demand vector (1..K) off the block tuple, strips the user's
-key shares and returns W_{d_k} as its subfile ints. No ``Bits`` is built on the
-way.
+block tuple. User k always demands virtual file k, so its decoding program is
+fixed by its window (the caches it reaches, what ``model.cached_block``
+returns): ``lift_decoder`` builds it once per placement, reading the peel
+schedule of the virtual demand vector (1..K), the cached columns its terms need
+and the XOR of the user's key shares of each peeled subfile, its strip. Per
+broadcast, ``lift_decode`` only XORs: each peeled block with its cached virtual
+terms (Q's column times a cached column) and its strip, returning W_{d_k} as
+its subfile ints. No ``Bits`` is built on the way.
 
 Coefficient vectors over files are plain ints: bit (n-1) selects file n.
 """
@@ -160,30 +163,65 @@ def lift_deliver(
     return LiftedTransmission(q, cfg.N, blocks, rate)
 
 
-def lift_decode(
+@dataclass(frozen=True)
+class LiftedDecoder:
+    """User k's decoding program for one placement, read off its window by ``lift_decoder``.
+
+    ``program[j-1]`` is ``(pos, terms, strip, column)`` and gives subfile j of
+    W_{d_k}. A cached subfile is entry d_k of its ``column``, the j-th subfiles of
+    the N files. A peeled one is payload block ``pos`` XOR its cached virtual
+    ``terms``, (v-1, column) pairs, XOR ``strip``, the XOR of user k's key shares
+    of subfile j; its ``column`` is empty.
+    """
+
+    k: int
+    n_files: int
+    count: int  # the payload plan's block count
+    program: tuple[tuple, ...]
+
+
+def lift_decoder(
     base: NonPrivateScheme,
     cfg: NetworkConfig,
     offsets: Sequence[int],
     k: int,
-    tx: LiftedTransmission,
     cached: Cache,
-    d_k: int,
-) -> tuple[int, ...]:
-    """W_{d_k} as its subfile ints in ``pack`` order, from the transmission, user k's own
-    demand and its window ``cached`` (what ``cached_block`` returns).
+) -> LiftedDecoder:
+    """User k's decoder, from its window ``cached`` (what ``cached_block`` returns) alone.
 
-    ``offsets`` is the private set ``lift_place`` was given: user k strips all
-    ``len(offsets)`` of its key shares off each peeled subfile, so a share missing
-    from its caches is a ``LookupError`` rather than a wrong file.
+    User k always demands virtual file k, so its peel schedule is the one of the
+    virtual demand vector (1..K), and only Q and the payload change between
+    broadcasts. ``offsets`` is the private set ``lift_place`` was given: user k folds
+    all ``len(offsets)`` of its key shares of each peeled subfile into one strip, so
+    a share missing from its caches is a ``LookupError`` here, not a wrong file later.
+    A schedule leaving a subfile unrecovered is a ``LookupError`` too.
     """
+    count, steps, lost = base._peel(virtual_config(cfg), tuple(range(1, cfg.K + 1)))[k - 1]
+    if lost:
+        raise LookupError(f"the payload plan gives user {k} no block for subfiles {list(lost)} of its virtual file {k}")
 
     # Virtual subfiles are computable from cached real subfiles because the
     # round-1 placement is file symmetric.
-    def virtual(v: int, j: int) -> int:
-        return coeff_xor(tx.q_columns[v - 1], [cached["W", n, j] for n in range(1, cfg.N + 1)])
+    def column(j: int) -> tuple[int, ...]:
+        return tuple([cached["W", n, j] for n in range(1, cfg.N + 1)])
 
-    users, slots = tuple(range(1, cfg.K + 1)), range(1, len(offsets) + 1)
-    parts = base.decode_missing(virtual_config(cfg), k, tx.blocks, virtual, users)
-    for j, block in parts.items():  # strip user k's key shares off the virtual subfile
-        parts[j] = reduce(xor, [cached["S", k, alpha, j] for alpha in slots], block)
-    return tuple([parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1)])
+    def strip(j: int) -> int:
+        return reduce(xor, [cached["S", k, alpha, j] for alpha in range(1, len(offsets) + 1)], 0)
+
+    peeled = {j: (pos, tuple([(v - 1, column(i)) for v, i in terms]), strip(j), ()) for pos, j, terms in steps}
+    program = tuple(peeled[j] if j in peeled else (-1, (), 0, column(j)) for j in range(1, cfg.subfiles_per_file + 1))
+    return LiftedDecoder(k, cfg.N, count, program)
+
+
+def lift_decode(decoder: LiftedDecoder, tx: LiftedTransmission, d_k: int) -> tuple[int, ...]:
+    """W_{d_k} as its subfile ints in ``pack`` order, from user k's decoder, the
+    transmission and user k's own demand: XORs only, with no cache read."""
+    blocks, q = tx.blocks, tx.q_columns
+    if len(blocks) != decoder.count:
+        raise ValueError(f"user {decoder.k} got {len(blocks)} payload blocks, the plan has {decoder.count}")
+    if not 1 <= d_k <= decoder.n_files:
+        raise ValueError(f"user {decoder.k} demands file {d_k} of {decoder.n_files}")
+    return tuple([
+        column[d_k - 1] if column else reduce(xor, [coeff_xor(q[v], c) for v, c in terms], blocks[pos] ^ strip)
+        for pos, terms, strip, column in decoder.program
+    ])

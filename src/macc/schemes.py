@@ -15,10 +15,11 @@ tuple; a payload is packed only where it becomes a privacy view.
 ``decode`` peels the plan off the block tuple: a block whose only term user k
 has not cached is a subfile of W_{d_k}, left once its cached terms are XORed
 off. Which block gives which subfile, and with which cached terms, is a
-schedule derived for all users in one pass, once per demand vector, so a
-decode only XORs. A fold returns a lone term as is, without copying it: a
-unicast block is its subfile int, and a peeled block with no cached terms is
-the block. A plan leaving a subfile unrecovered is a ``LookupError``.
+schedule (``_peel``) derived for all users in one pass, once per demand vector,
+so a decode only XORs. The lifted decoder reads the same schedule, of the
+virtual demand vector, once per placement (``lifting.lift_decoder``). A fold
+returns a lone term as is, without copying it: a unicast block is its subfile
+int, and a peeled block with no cached terms is the block. A plan leaving a subfile unrecovered is a ``LookupError``.
 ``decode`` returns W_{d_k} as its subfile ints, and builds no ``Bits``. Both shipped
 schemes satisfy condition C1 (pairwise-disjoint subfile sets across any user's
 accessible caches) and work for any file count N, so the lifting transform runs
@@ -140,27 +141,20 @@ class NonPrivateScheme(ABC):
             for (_, missing), own in zip(layout, steps)
         )
 
-    def decode_missing(
-        self, cfg: NetworkConfig, k: int, blocks: Sequence[int], subfile: IntSubfile, demands: tuple[int, ...]
-    ) -> dict[int, int]:
-        """User k's missing subfiles of W_{d_k}, peeled off the payload ``blocks`` (in plan
-        order) with its cached ``subfile(n, j)`` ints, along the schedule ``_peel`` derives."""
-        count, steps, lost = self._peel(cfg, demands)[k - 1]
-        if len(blocks) != count:
-            raise ValueError(f"user {k} got {len(blocks)} payload blocks, the plan has {count}")
-        if lost:
-            d_k = demands[k - 1]
-            raise LookupError(f"the payload plan gives user {k} no block for subfiles {list(lost)} of W_{d_k}")
-        return {j: reduce(xor, [subfile(n, i) for n, i in terms], blocks[pos]) for pos, j, terms in steps}
-
     def decode(
         self, cfg: NetworkConfig, k: int, blocks: Sequence[int], cached: Cache, demands: Sequence[int]
     ) -> tuple[int, ...]:
         """W_{d_k} as its subfile ints in ``pack`` order, from the payload ``blocks`` (in
-        plan order) and user k's window ``cached`` (what ``cached_block`` returns)."""
+        plan order) and user k's window ``cached`` (what ``cached_block`` returns): its
+        missing subfiles are peeled off the blocks along the schedule ``_peel`` derives."""
         demands = tuple(demands)
-        parts = self.decode_missing(cfg, k, blocks, lambda n, j: cached["W", n, j], demands)
+        count, steps, lost = self._peel(cfg, demands)[k - 1]
+        if len(blocks) != count:
+            raise ValueError(f"user {k} got {len(blocks)} payload blocks, the plan has {count}")
         d_k = demands[k - 1]
+        if lost:
+            raise LookupError(f"the payload plan gives user {k} no block for subfiles {list(lost)} of W_{d_k}")
+        parts = {j: reduce(xor, [cached["W", n, i] for n, i in terms], blocks[pos]) for pos, j, terms in steps}
         return tuple([parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1)])
 
     def place(self, cfg: NetworkConfig, library: SubfileLibrary) -> PlacementState:

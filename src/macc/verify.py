@@ -1,11 +1,13 @@
 """Exact verification: decodability sweeps, demand-privacy by enumeration, attack demo.
 
-A decodability round trip does only the decoding. A runner places (and merges
-each user's window) once per placement. Each scheme kind has one delivery and one
-decoder: the payload reaches the decoders as its block tuple, and each decoder
-reads its user's window and returns ints, so no round trip packs or cuts a
-payload or a file. The sweep cuts each demanded file once into as many fields as
-a returned tuple holds, and compares tuples. ``Bits`` appears only in the files
+A decodability round trip does only the delivery and the decoding. A runner
+places (and merges each user's window) once per placement; the lifted runner
+then builds each user's decoder from its window (``lift_decoder``), so a lifted
+round trip reads no cache and only XORs. Each scheme kind has one delivery and
+one decoder: the payload reaches the decoders as its block tuple, and each
+decoder reads its user's window alone and returns ints, so no round trip packs
+or cuts a payload or a file. The sweep cuts each demanded file once into as many
+fields as a returned tuple holds, and compares tuples. ``Bits`` appears only in the files
 ``verify_decodability`` and ``make_baseline_runner`` take.
 
 Privacy is checked in the conditional form: fix the library realization w and
@@ -71,7 +73,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .baseline import BaselineParams, baseline_broadcast, baseline_decode, baseline_deliver, baseline_place
 from .gf2 import coeff_xor, coset_least, span_basis
-from .lifting import KeyMaterial, lift_decode, lift_deliver, lift_place
+from .lifting import KeyMaterial, lift_decode, lift_decoder, lift_deliver, lift_place
 from .model import (
     Bits,
     NetworkConfig,
@@ -231,21 +233,22 @@ def make_lifted_runner(
     library: SubfileLibrary,
     enforce_private: bool = True,
 ) -> Runner:
-    """Places each key seed once and merges each user's window then. A ``None`` seed is
-    refused by ``KeyMaterial.generate``, so a sweep's keys can always be drawn again."""
-    placements: dict = {}  # seed -> (keys, each user's window)
+    """Places each key seed once, and builds each user's decoder from its window then,
+    so a round trip delivers and XORs. A ``None`` seed is refused by
+    ``KeyMaterial.generate``, so a sweep's keys can always be drawn again."""
+    placements: dict = {}  # seed -> (keys, each user's decoder)
 
     def run(seed, demands):
         if seed not in placements:
             keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
             placement = lift_place(base, cfg, offsets, library, keys, enforce_private)
-            placements[seed] = (keys, [cached_block(cfg, k, placement) for k in range(1, cfg.K + 1)])
-        keys, windows = placements[seed]
+            placements[seed] = (
+                keys,
+                [lift_decoder(base, cfg, offsets, k, cached_block(cfg, k, placement)) for k in range(1, cfg.K + 1)],
+            )
+        keys, decoders = placements[seed]
         tx = lift_deliver(base, cfg, keys, library, demands)
-        return [
-            lift_decode(base, cfg, offsets, k, tx, windows[k - 1], demands[k - 1])
-            for k in range(1, cfg.K + 1)
-        ]
+        return [lift_decode(decoder, tx, d_k) for decoder, d_k in zip(decoders, demands)]
 
     return run
 

@@ -25,6 +25,7 @@ from macc import (
     gf2_solve_window,
     is_private_set,
     lift_decode,
+    lift_decoder,
     lift_deliver,
     lift_place,
     lifted_memory,
@@ -87,7 +88,8 @@ def test_criterion_2_lifted_example1_memory_rate():
             assert Fraction(len(tx.blocks) * cfg.subfile_bits, cfg.F) == Fraction(1, 3)
             assert tx.q_bits == 9
             for k in range(1, 4):
-                got = lift_decode(base, cfg, (1, 2), k, tx, cached_block(cfg, k, placement), demands[k - 1])
+                decoder = lift_decoder(base, cfg, (1, 2), k, cached_block(cfg, k, placement))
+                got = lift_decode(decoder, tx, demands[k - 1])
                 assert got == tuple(split(lib.file(demands[k - 1]).v, 3, cfg.subfile_bits))
 
     report(2, checks)
@@ -227,7 +229,7 @@ def test_criterion_8_negative_controls():
             cache[share] ^= 1
             tx = lift_deliver(base, cfg, keys, lib, demands)
             return [
-                lift_decode(base, cfg, (1, 2), k, tx, cached_block(cfg, k, tuple(bad)), demands[k - 1])
+                lift_decode(lift_decoder(base, cfg, (1, 2), k, cached_block(cfg, k, tuple(bad))), tx, demands[k - 1])
                 for k in range(1, 4)
             ]
 

@@ -12,6 +12,7 @@ from macc import (
     all_demand_vectors,
     coeff_xor,
     lift_decode,
+    lift_decoder,
     lift_deliver,
     lift_place,
     lifted_memory,
@@ -29,7 +30,7 @@ def run_all_users(base, cfg, offsets, library, seed, demands):
     placement = lift_place(base, cfg, offsets, library, keys)
     tx = lift_deliver(base, cfg, keys, library, demands)
     return [
-        lift_decode(base, cfg, offsets, k, tx, cached_block(cfg, k, placement), demands[k - 1])
+        lift_decode(lift_decoder(base, cfg, offsets, k, cached_block(cfg, k, placement)), tx, demands[k - 1])
         for k in range(1, cfg.K + 1)
     ]
 
@@ -148,13 +149,13 @@ def test_lift_decode_refuses_a_transmission_missing_a_block():
     base = make_scheme("cyclic-uncoded", 1)
     lib = random_library(2, 8, 4, 5)
     keys = KeyMaterial.generate(4, 2, 2, 5)
-    window = cached_block(cfg, 3, lift_place(base, cfg, (1, 2), lib, keys))
+    decoder = lift_decoder(base, cfg, (1, 2), 3, cached_block(cfg, 3, lift_place(base, cfg, (1, 2), lib, keys)))
     demands = (2, 1, 1, 2)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    assert lift_decode(base, cfg, (1, 2), 3, tx, window, 1) == cut(cfg, lib, 1)
+    assert lift_decode(decoder, tx, 1) == cut(cfg, lib, 1)
     short = replace(tx, blocks=tx.blocks[:-1])
     with pytest.raises(ValueError, match="user 3"):
-        lift_decode(base, cfg, (1, 2), 3, short, window, 1)
+        lift_decode(decoder, short, 1)
 
 
 def test_q_masks_demands():

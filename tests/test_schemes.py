@@ -6,10 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macc import (
+    KeyMaterial,
     LiftedInstance,
     NetworkConfig,
     all_demand_vectors,
     check_condition_c1,
+    lift_decoder,
+    lift_place,
     make_lifted_runner,
     make_nonprivate_runner,
     make_scheme,
@@ -219,6 +222,22 @@ def test_plan_missing_a_block_is_a_lookup_error():
     files = [lib.file(n) for n in (1, 2)]
     with pytest.raises(LookupError, match="user 1"):
         verify_decodability(make_nonprivate_runner(TwoUserNoBlock(), cfg, lib), 2, 2, files)
+
+
+def test_lifted_plan_missing_a_block_names_the_users_virtual_file():
+    # A lifted user k always decodes virtual file k, so a plan that gives it no block is
+    # refused when its decoder is built, before any delivery, and names virtual file k:
+    # user 1 demands W_2 here and must not be told about W_1.
+    cfg = NetworkConfig(2, 1, 2, 4, 2)
+    s, lib = TwoUserNoBlock(), random_library(2, 4, 2, seed=3)
+    msg = "the payload plan gives user 1 no block for subfiles [2] of its virtual file 1"
+    with pytest.raises(LookupError) as err:
+        make_lifted_runner(s, cfg, (1,), lib)(0, (2, 1))
+    assert str(err.value) == msg
+    placement = lift_place(s, cfg, (1,), lib, KeyMaterial.generate(2, 1, 2, 0))
+    with pytest.raises(LookupError) as err:
+        lift_decoder(s, cfg, (1,), 1, cached_block(cfg, 1, placement))
+    assert str(err.value) == msg
 
 
 def _own_peel(scheme, cfg, demands, k):

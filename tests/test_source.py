@@ -76,6 +76,32 @@ def test_no_module_imports_a_name_it_never_uses():
     assert found == []
 
 
+def test_no_decoder_is_given_the_library_or_the_keys():
+    # A decoder reads only its user's window and the broadcast. Neither the library
+    # nor the key material may reach one, least of all a decoder built once and
+    # reused: no parameter of it is named for them or annotated with their types.
+    decoders = {
+        ("lifting.py", "lift_decoder"), ("lifting.py", "lift_decode"),
+        ("schemes.py", "NonPrivateScheme.decode"), ("baseline.py", "baseline_decode"),
+    }
+    found, seen = [], set()
+    for name in sorted({name for name, _ in decoders}):
+        tree = ast.parse((PACKAGE / name).read_text(), name)
+        scopes = [("", node) for node in tree.body]
+        scopes += [(f"{c.name}.", node) for c in tree.body if isinstance(c, ast.ClassDef) for node in c.body]
+        for prefix, node in scopes:
+            if not isinstance(node, ast.FunctionDef) or (name, prefix + node.name) not in decoders:
+                continue
+            seen.add((name, prefix + node.name))
+            a = node.args
+            for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]:
+                note = ast.unparse(arg.annotation) if arg.annotation else ""
+                if arg.arg in ("library", "keys") or "SubfileLibrary" in note or "KeyMaterial" in note:
+                    found.append(f"{name}:{arg.lineno} {prefix}{node.name}({arg.arg}: {note})")
+    assert seen == decoders
+    assert found == []
+
+
 def test_a_failing_property_test_cannot_abort_the_session(request):
     # A failing ``@given`` test makes hypothesis's pytest plugin import
     # ``hypothesis.extra._patching``. Under ``filterwarnings = ["error"]`` a

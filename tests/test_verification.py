@@ -3,9 +3,9 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache, partial, reduce
 from itertools import combinations
-from operator import eq
+from operator import eq, xor
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,6 +34,7 @@ from macc import (
     baseline_place,
     coeff_xor,
     lift_decode,
+    lift_decoder,
     lift_deliver,
     lift_place,
     library_from_int,
@@ -251,14 +252,14 @@ def test_corrupted_key_share_breaks_decoding():
     demands = (2, 1, 2)
     tx = lift_deliver(base, cfg, keys, lib, demands)
     want = tuple(split(lib.file(2).v, 3, cfg.subfile_bits))
-    ok = lift_decode(base, cfg, (1, 2), 1, tx, cached_block(cfg, 1, placement), 2)
+    ok = lift_decode(lift_decoder(base, cfg, (1, 2), 1, cached_block(cfg, 1, placement)), tx, 2)
     assert ok == want
 
     # Flip one bit inside one of user 1's key shares.
     bad = [dict(cache) for cache in placement]
     cache, share = next((c, label) for c in bad for label in c if label[:2] == ("S", 1))
     cache[share] ^= 1
-    got = lift_decode(base, cfg, (1, 2), 1, tx, cached_block(cfg, 1, tuple(bad)), 2)
+    got = lift_decode(lift_decoder(base, cfg, (1, 2), 1, cached_block(cfg, 1, tuple(bad))), tx, 2)
     assert got != want
     # The witness: exactly which bits disagree.
     assert any(g ^ w for g, w in zip(got, want))
@@ -371,11 +372,11 @@ def test_decoders_read_only_their_users_caches(base, cfg):
         blocks, _ = base.deliver(cfg, lib, demands)
         tx = lift_deliver(base, cfg, keys, lib, demands)
         for k in range(1, cfg.K + 1):
-            window = accessible_caches(k, cfg)
+            window, d_k = accessible_caches(k, cfg), demands[k - 1]
             want = tuple(split(lib.file(demands[k - 1]).v, cfg.K, cfg.subfile_bits))
             for decode, placement, t in (
                 (partial(base.decode, cfg, k, blocks, demands=demands), placed, 0),
-                (partial(lift_decode, base, cfg, offsets, k, tx, d_k=demands[k - 1]), lifted, len(offsets)),
+                (lambda cached: lift_decode(lift_decoder(base, cfg, offsets, k, cached), tx, d_k), lifted, len(offsets)),
             ):
                 assert decode(cached=cached_block(cfg, k, _keep_caches(placement, window))) == want
                 for c in window:
@@ -396,7 +397,7 @@ def test_lift_decode_refuses_a_missing_key_share():
         placement = _keep_caches(lift_place(base, cfg, offsets, lib, keys), {2, 3})
         tx = lift_deliver(base, cfg, keys, lib, demands)
         with pytest.raises(LookupError, match=r"S_\{1,\d+,\d+\} not in user 1's caches"):
-            lift_decode(base, cfg, offsets, 1, tx, cached_block(cfg, 1, placement), demands[0])
+            lift_decode(lift_decoder(base, cfg, offsets, 1, cached_block(cfg, 1, placement)), tx, demands[0])
 
 
 def test_baseline_decoder_reads_only_its_users_caches():
@@ -430,11 +431,11 @@ def test_lifted_runner_sees_a_corrupted_payload_block(monkeypatch):
         return replace(tx, blocks=tx.blocks[:pos] + (tx.blocks[pos] ^ 1,) + tx.blocks[pos + 1 :])
 
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 9)
-    window = cached_block(cfg, 2, lift_place(base, cfg, offsets, lib, keys))
+    decoder = lift_decoder(base, cfg, offsets, 2, cached_block(cfg, 2, lift_place(base, cfg, offsets, lib, keys)))
     demands = (1, 2, 1, 2)
     want = tuple(split(lib.file(2).v, cfg.K, cfg.subfile_bits))
-    assert lift_decode(base, cfg, offsets, 2, real(base, cfg, keys, lib, demands), window, 2) == want
-    assert lift_decode(base, cfg, offsets, 2, flipped(base, cfg, keys, lib, demands), window, 2) != want
+    assert lift_decode(decoder, real(base, cfg, keys, lib, demands), 2) == want
+    assert lift_decode(decoder, flipped(base, cfg, keys, lib, demands), 2) != want
 
     monkeypatch.setattr(macc.verify, "lift_deliver", flipped)
     files = [lib.file(1), lib.file(2)]
@@ -481,12 +482,12 @@ def test_decodability_catches_a_coeff_xor_that_drops_its_highest_column(monkeypa
 def test_decodability_catches_a_lift_decode_that_strips_one_share_fewer(monkeypatch):
     cfg = NetworkConfig(4, 2, 2, 64, 4)
     base, lib = make_scheme("cyclic-uncoded", 1), random_library(2, 64, 4, 42)
-    real = macc.verify.lift_decode
+    real = macc.verify.lift_decoder
 
     def one_share_fewer(base, cfg, offsets, *rest):
         return real(base, cfg, tuple(offsets)[:-1], *rest)
 
-    monkeypatch.setattr(macc.verify, "lift_decode", one_share_fewer)
+    monkeypatch.setattr(macc.verify, "lift_decoder", one_share_fewer)
     _assert_planted_fault_caught(monkeypatch, base, cfg, lib)
 
 
@@ -660,7 +661,8 @@ def test_runner_kernels_are_the_public_decoders():
             for d in all_demand_vectors(cfg.N, cfg.K):
                 tx, got = lift_deliver(base, cfg, keys, lib, d), run(seed, d)
                 for k in range(1, cfg.K + 1):
-                    assert got[k - 1] == lift_decode(base, cfg, offsets, k, tx, cached_block(cfg, k, lifted), d[k - 1])
+                    decoder = lift_decoder(base, cfg, offsets, k, cached_block(cfg, k, lifted))
+                    assert got[k - 1] == lift_decode(decoder, tx, d[k - 1])
     p = BaselineParams(4, 2, 3, 24, Fraction(1))
     lib = random_library(p.N, p.F, 1, 40)
     blocks, _ = baseline_deliver(p, lib)
@@ -671,6 +673,74 @@ def test_runner_kernels_are_the_public_decoders():
         got = run(None, d)
         for k in range(1, p.K + 1):
             assert got[k - 1] == tuple(split(public[k - 1][d[k - 1] - 1], 1, p.F))
+
+
+def _per_call_lift_decode(base, cfg, offsets, k, tx, cached, d_k):
+    """The lifted decoder worked out afresh for one broadcast: peel the plan of the
+    virtual demand vector (1..K) off the blocks, then strip every key share."""
+    count, steps, lost = base._peel(virtual_config(cfg), tuple(range(1, cfg.K + 1)))[k - 1]
+    assert len(tx.blocks) == count and not lost
+
+    def virtual(v, j):
+        return coeff_xor(tx.q_columns[v - 1], [cached["W", n, j] for n in range(1, cfg.N + 1)])
+
+    parts = {j: reduce(xor, [virtual(v, i) for v, i in terms], tx.blocks[pos]) for pos, j, terms in steps}
+    for j in parts:
+        parts[j] = reduce(xor, [cached["S", k, a, j] for a in range(1, len(offsets) + 1)], parts[j])
+    return tuple(parts[j] if j in parts else cached["W", d_k, j] for j in range(1, cfg.subfiles_per_file + 1))
+
+
+@pytest.mark.parametrize(
+    "base, cfg",
+    [
+        (PairFirst(), NetworkConfig(3, 1, 2, 48, 3)),
+        (make_scheme("example1"), NetworkConfig(3, 2, 2, 6, 3)),
+        (make_scheme("example1"), NetworkConfig(4, 3, 2, 8, 4)),
+        *((make_scheme("cyclic-uncoded", tp), NetworkConfig(5, 2, 2, 10, 5)) for tp in (0, 1, 2)),
+    ],
+    ids=["pair-first", "example1-K3", "example1-K4", "cyclic-uncoded-tp0", "cyclic-uncoded-tp1", "cyclic-uncoded-tp2"],
+)
+def test_a_decoder_built_once_matches_a_per_call_decode(base, cfg):
+    # One decoder per user and key seed serves every broadcast of that placement, in
+    # any order: each demand vector is delivered in a seed-shuffled order.
+    lib = random_library(cfg.N, cfg.F, cfg.K, 65)
+    offsets = algorithm1_private_set(cfg).caches
+    for seed in (1, 2, 3):
+        keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
+        placement = lift_place(base, cfg, offsets, lib, keys)
+        windows = [cached_block(cfg, k, placement) for k in range(1, cfg.K + 1)]
+        decoders = [lift_decoder(base, cfg, offsets, k, w) for k, w in enumerate(windows, 1)]
+        demand_list = list(all_demand_vectors(cfg.N, cfg.K))
+        random.Random(seed).shuffle(demand_list)
+        for d in demand_list:
+            tx = lift_deliver(base, cfg, keys, lib, d)
+            for k in range(1, cfg.K + 1):
+                want = tuple(split(lib.file(d[k - 1]).v, cfg.subfiles_per_file, cfg.subfile_bits))
+                got = lift_decode(decoders[k - 1], tx, d[k - 1])
+                assert got == _per_call_lift_decode(base, cfg, offsets, k, tx, windows[k - 1], d[k - 1]) == want
+
+
+def test_lifted_runner_builds_each_decoder_once_per_key_seed(monkeypatch):
+    cfg = NetworkConfig(4, 2, 2, 8, 4)
+    base, lib = make_scheme("cyclic-uncoded", 1), random_library(cfg.N, cfg.F, cfg.K, 66)
+    offsets = algorithm1_private_set(cfg).caches
+    built = []
+    real = macc.verify.lift_decoder
+
+    def counting(base, cfg, offsets, k, cached):
+        built.append(k)
+        return real(base, cfg, offsets, k, cached)
+
+    monkeypatch.setattr(macc.verify, "lift_decoder", counting)
+    run, seen = make_lifted_runner(base, cfg, offsets, lib), set()
+    for seed in (3, 4, 3):
+        for d in all_demand_vectors(cfg.N, cfg.K):
+            before = len(built)
+            run(seed, d)
+            # A seed's first round trip builds its K decoders, and no later one builds any.
+            assert built[before:] == ([] if seed in seen else list(range(1, cfg.K + 1)))
+            seen.add(seed)
+    assert len(built) == 2 * cfg.K
 
 
 def test_runners_merge_each_window_once_per_placement(monkeypatch):
