@@ -54,10 +54,14 @@ k's view under d is ``u_k(x) XOR e_d`` with ``u_k(x) = (shares_k(x) << K*N) |
 r(x)`` over key draws x. Per library the engine therefore tallies ``u_k`` once
 per user, and reads the histogram under each d off that tally by XORing ``e_d``
 into its Q field. Every key share is ``p_{i,a}`` times a subfile column and r is
-the XOR of the p's, so ``u_k`` is linear in the key draw: its column over the
-draws is doubled up from the images of the ``key_bits`` unit keys, read off the
-library's columns, and no key draw is walked. Every field is cut and joined by
-the layout kernels of ``model`` (``pack``, ``split``).
+the XOR of the p's, so ``u_k`` is linear in the key draw: over uniform draws it
+is uniform on the span of the images of the ``key_bits`` unit keys, read off the
+library's columns. Only the images independent of those before them double the
+tally's column; a dependent one maps the span onto itself and doubles every
+count. The tally so holds each value of the span once, in the order the draws
+first reach it, with the count every draw's tally gives it, and no key draw is
+walked. Every field is cut and joined by the layout kernels of ``model``
+(``pack``, ``split``).
 """
 
 from __future__ import annotations
@@ -334,9 +338,11 @@ class LiftedInstance:
     out for the reason the cached subfiles are: ``lift_deliver`` builds it from
     the library and Q alone, so within a library it is a function of the view.
     Per library each user's ``(shares << K*N) | r`` is tallied once over the key
-    draws, its column XORed up from the unit-key images, and the histogram under
-    d is that tally with ``e_d`` XORed into its Q field. The layout comes from one
-    ``lift_place`` on the zero library and zero key, run on first use.
+    draws: its column is doubled only by the unit-key images independent of those
+    before them, and the rank fixes every count, which leaves the tally of every
+    draw unchanged. The histogram under d is that tally with ``e_d`` XORed into
+    its Q field. The layout comes from one ``lift_place`` on the zero library and
+    zero key, run on first use.
     """
 
     base: NonPrivateScheme
@@ -369,24 +375,32 @@ class LiftedInstance:
     def lib_ctx(self, lib: int) -> list[Counter]:
         """Each user's tally of ``u = (shares << K*N) | r`` over the key draws.
 
-        ``u`` is linear in the key draw, so each user's column of ``u`` is doubled up from
-        its images of the ``key_bits`` unit keys, lowest key-index bit first: entry x is
-        the XOR of the images of x's set bits, and the column lists the draws in key-index
-        order. Key-index bit b is bit c of p_{i,a} (the fields of ``KeyMaterial.from_int``);
-        that unit key makes every (i, a, j) share ``column_j[c]`` and sets bit c of r_i.
+        ``u`` is linear in the key draw, so over uniform draws it is uniform on the span
+        of its images of the ``key_bits`` unit keys, each value hit ``2^(key_bits - rank)``
+        times. The images are walked lowest key-index bit first, each reduced against the
+        basis of those before it (``coset_least``). An independent one doubles the column
+        with a new coset, in the order of the column's entries; a dependent one maps the
+        span onto itself and only doubles every count. So the column lists each value once,
+        where the draws in key-index order first reach it, and the tally equals the
+        ``Counter`` of every draw's ``u``, its keys in the same order. Key-index bit b is
+        bit c of p_{i,a} (the fields of ``KeyMaterial.from_int``); that unit key makes
+        every (i, a, j) share ``column_j[c]`` and sets bit c of r_i.
         """
         K, t, N, width = self.cfg.K, self.t, self.cfg.N, self.cfg.subfile_bits
         columns = self.columns(lib)
         tallies = []
         for labels in self.shares:
-            col = [0]
+            col, basis = [0], {}
             for b in range(self.key_bits):
                 f, c = divmod(b, N)  # field f from the bottom, bit c of it
                 i, a = divmod(K * t - 1 - f, t)  # its owner and slot, 0-based
                 shares = pack((columns[j - 1][c] if (o, s) == (i + 1, a + 1) else 0 for o, s, j in labels), width)
                 image = (shares << (K * N)) | (1 << (N * (K - 1 - i) + c))
-                col += [v ^ image for v in col]
-            tallies.append(Counter(col))
+                rest = coset_least(image, basis)
+                if rest:
+                    basis[rest.bit_length() - 1] = rest
+                    col += [v ^ image for v in col]
+            tallies.append(Counter(dict.fromkeys(col, 1 << (self.key_bits - len(basis)))))
         return tallies
 
     def demand_views(self, tallies: list[Counter], demands: tuple[int, ...]) -> list[dict[int, int]]:
@@ -425,21 +439,21 @@ def _full_engine(inst, budget: int) -> PrivacyReport:
     Per library, each demand vector's row holds every user's histogram of views
     over the key draws, as the instance gives it: a lifted one reads each from
     its per-library tally of ``(shares << K*N) | Q`` by translating the Q field,
-    the tally's column XORed up from the unit-key images with no key draw
-    walked; a keyless one gives its lone view as a point mass. The library-level
-    test comes first: when every row equals the first, no demand vector moves
-    any user's view distribution, so every (user, own demand) cell of the
-    library is private and the engine goes on to the next library. Only a
-    library that fails it is decided cell by cell: a cell is private when its
-    histograms are all equal. Otherwise its MI is the entropy of its
-    ``d_{-k}``'s classes, a class being the first equal histogram: a keyless
-    view is a point mass, and a lifted histogram is uniform on a coset of the
-    span of its unit-key images, so classes are flat, of one size and disjoint.
-    The engine checks that premise in every split cell and raises
-    ``RuntimeError`` naming the cell where it fails. Each user's first leaking
-    cell gives its witness: the cell's first ``d_{-k}`` against the first one
-    outside its class, and a view whose counts they differ on. Both tests
-    compare plain dicts, in C.
+    the tally's column doubled only by the independent unit-key images, so it
+    lists the span once and walks no key draw; a keyless one gives its lone view
+    as a point mass. The library-level test comes first: when every row equals
+    the first, no demand vector moves any user's view distribution, so every
+    (user, own demand) cell of the library is private and the engine goes on to
+    the next library. Only a library that fails it is decided cell by cell: a
+    cell is private when its histograms are all equal. Otherwise its MI is the
+    entropy of its ``d_{-k}``'s classes, a class being the first equal
+    histogram: a keyless view is a point mass, and a lifted histogram is uniform
+    on a coset of the span of its unit-key images, so classes are flat, of one
+    size and disjoint. The engine checks that premise in every split cell and
+    raises ``RuntimeError`` naming the cell where it fails. Each user's first
+    leaking cell gives its witness: the cell's first ``d_{-k}`` against the
+    first one outside its class, and a view whose counts they differ on. Both
+    tests compare plain dicts, in C.
     """
     N, K, lib_bits = inst.cfg.N, inst.cfg.K, inst.cfg.N * inst.cfg.F
     states = (1 << lib_bits) * (1 << inst.key_bits) * N**K

@@ -153,6 +153,69 @@ def test_verify_decodability_budgets_every_seed():
     assert err.value.required == 2 * 2**19 and err.value.budget == 10**6
 
 
+def test_failing_decodability_report_names_its_seed_demands_and_user():
+    # User 1 gets the wrong file under demands (2, 1) at the second of three key seeds,
+    # the 4 + 3 = 7th round trip; the other seeds and demand vectors decode.
+    files = [Bits.from01("1010"), Bits.from01("0110")]
+
+    def run(seed, demands):
+        out = [(files[d - 1].v,) for d in demands]
+        if (seed, demands) == (6, (2, 1)):
+            out[0] = (files[0].v,)
+        return out
+
+    rep = verify_decodability(run, 2, 2, files, seeds=(5, 6, 7))
+    assert not rep.ok and rep.checked == 7
+    assert rep.to_dict() == {"ok": False, "checked": 7, "failure": {"seed": 6, "demands": [2, 1], "user": 1}}
+
+
+def test_decodability_budget_is_exact(monkeypatch):
+    # 3 seeds x 2^2 demand vectors = 12 round trips: run at a budget of 12, refused at 11.
+    files = [Bits.from01("1010"), Bits.from01("0110")]
+
+    def run(seed, demands):
+        return [(files[d - 1].v,) for d in demands]
+
+    sweep = partial(verify_decodability, run, 2, 2, files, (5, 6, 7))
+    monkeypatch.setattr(macc.verify, "ROUND_TRIP_BUDGET", 12)
+    assert sweep().checked == 12
+    monkeypatch.setattr(macc.verify, "ROUND_TRIP_BUDGET", 11)
+    with pytest.raises(BudgetExceededError) as err:
+        sweep()
+    assert (err.value.required, err.value.budget) == (12, 11)
+
+
+def test_attack_budget_is_exact(monkeypatch):
+    # 2 seeds x 3^4 demand vectors = 162 trials: run at a budget of 162, refused at 161.
+    cfg = NetworkConfig(4, 3, 3, 32, 4)
+    attack = partial(attack_success_rate, make_scheme("cyclic-uncoded", 1), cfg, (1, 3), _distinct_library(cfg), [7, 8])
+    monkeypatch.setattr(macc.verify, "ROUND_TRIP_BUDGET", 162)
+    assert attack() == 1
+    monkeypatch.setattr(macc.verify, "ROUND_TRIP_BUDGET", 161)
+    with pytest.raises(BudgetExceededError) as err:
+        attack()
+    assert (err.value.required, err.value.budget) == (162, 161)
+
+
+@pytest.mark.parametrize(
+    "inst, engine, states",
+    [
+        # 2^8 libraries x 2^3 demand vectors
+        (BaselineInstance(BaselineParams(3, 2, 2, 4, Fraction(1, 2))), "full", 2048),
+        # 2^6 libraries x 3 x 2 (user, factor) pairs x 2^2 key draws x 2 demands
+        (LiftedInstance(make_scheme("cyclic-uncoded", 1), NetworkConfig(3, 1, 2, 3, 3), (1,)), "factored", 3072),
+    ],
+    ids=["full-baseline", "factored-lifted"],
+)
+def test_privacy_budget_is_exact(inst, engine, states):
+    # Each engine runs at exactly its state count, and refuses one state short of it.
+    report = verify_privacy_exact(inst, budget=states, engine=engine)
+    assert (report.engine, report.states, report.private) == (engine, states, True)
+    with pytest.raises(BudgetExceededError) as err:
+        verify_privacy_exact(inst, budget=states - 1, engine=engine)
+    assert (err.value.required, err.value.budget) == (states, states - 1)
+
+
 @pytest.mark.parametrize(
     "N, F, S",
     [(3, 6, 3), (2, 4, 2), (2, 3, 3)],
@@ -1186,6 +1249,74 @@ def test_lifted_histograms_list_views_in_key_index_order(base, cfg, offsets, n_l
         for d in all_demand_vectors(cfg.N, cfg.K):
             want = [Counter(views) for views in _per_key_views(inst, lib, d)]
             assert [list(h.items()) for h in inst.demand_views(ctx, d)] == [list(c.items()) for c in want]
+
+
+def _every_draw_tallies(inst, lib):
+    """Each user's ``Counter`` of ``u = (shares << K*N) | r`` over every key draw: its column
+    doubled by every unit-key image in key-index order, the tally ``lib_ctx`` made before
+    only the independent images doubled it."""
+    K, t, N, width = inst.cfg.K, inst.t, inst.cfg.N, inst.cfg.subfile_bits
+    columns = inst.columns(lib)
+    tallies = []
+    for labels in inst.shares:
+        col = [0]
+        for b in range(inst.key_bits):
+            f, c = divmod(b, N)
+            i, a = divmod(K * t - 1 - f, t)
+            shares = pack((columns[j - 1][c] if (o, s) == (i + 1, a + 1) else 0 for o, s, j in labels), width)
+            image = (shares << (K * N)) | (1 << (N * (K - 1 - i) + c))
+            col += [v ^ image for v in col]
+        tallies.append(Counter(col))
+    return tallies
+
+
+def _assert_tallies_are_every_draw_tallies(inst, lib):
+    """``lib_ctx(lib)`` against the every-draw tallies, item order included; returns each
+    tally's one count per view, which times its size is every key draw."""
+    tallies = inst.lib_ctx(lib)
+    assert [list(c.items()) for c in tallies] == [list(c.items()) for c in _every_draw_tallies(inst, lib)]
+    counts = []
+    for tally in tallies:
+        (count,) = set(tally.values())
+        assert len(tally) * count == 2**inst.key_bits
+        counts.append(count)
+    return counts
+
+
+@st.composite
+def lifted_two_or_more_slots(draw):
+    """A lifted cyclic-uncoded instance with t >= 2 key slots and at most 12 key bits, and
+    three of its libraries."""
+    K, N = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    L = draw(st.integers(1, K - 1))
+    tp = draw(st.integers(0, K // L))
+    offsets = tuple(sorted(draw(st.sets(st.integers(1, K), min_size=2))))
+    assume(K * len(offsets) * N <= 12)
+    width = draw(st.integers(1, 2))
+    cfg = NetworkConfig(K, L, N, K * width, K)
+    libs = draw(st.lists(st.integers(0, (1 << (N * cfg.F)) - 1), min_size=3, max_size=3))
+    return LiftedInstance(make_scheme("cyclic-uncoded", tp), cfg, offsets), libs
+
+
+@settings(max_examples=15, deadline=None)
+@given(lifted_two_or_more_slots())
+def test_lifted_tally_is_the_every_draw_tally_on_random_instances(drawn):
+    inst, libs = drawn
+    for lib in libs:
+        _assert_tallies_are_every_draw_tallies(inst, lib)
+
+
+def test_lifted_tally_is_the_every_draw_tally_on_example1():
+    # At K = 3 each (user, library) tally of the README keyed instance spans 64 to 512
+    # of its 4,096 key draws: 3 to 6 of its 12 unit-key images are dependent and only
+    # scale the counts. At K = 4 the offsets (1, 2) give 16 key bits.
+    inst = LiftedInstance(make_scheme("example1"), NetworkConfig(3, 2, 2, 3, 3), (1, 2))
+    counts = [c for lib in range(64) for c in _assert_tallies_are_every_draw_tallies(inst, lib)]
+    assert {2**inst.key_bits // c for c in counts} == {64, 128, 256, 512}
+    inst = LiftedInstance(make_scheme("example1"), NetworkConfig(4, 3, 2, 4, 4), (1, 2))
+    assert inst.key_bits == 16
+    for lib in random.Random(36).sample(range(256), 2):
+        _assert_tallies_are_every_draw_tallies(inst, lib)
 
 
 def test_full_engine_walks_no_key_draws(monkeypatch):
