@@ -64,7 +64,7 @@ def baseline_place(params: BaselineParams, library: SubfileLibrary) -> Placement
     library.check_fits(params.cfg)
     air = build_air(params.K, params.L)
     # A file is its L cached pieces, then the broadcast remainder in the low bits.
-    pieces = [split(split(f, 2, params.broadcast_bits)[0], params.L, params.part_bits) for f in library.column(1)]
+    pieces = [split(f >> params.broadcast_bits, params.L, params.part_bits) for f in library.column(1)]
     return tuple(
         {("C", n, k): coeff_xor(air.rows[k - 1], parts) for n, parts in enumerate(pieces, 1)}
         for k in range(1, params.K + 1)
@@ -73,9 +73,14 @@ def baseline_place(params: BaselineParams, library: SubfileLibrary) -> Placement
 
 def baseline_broadcast(params: BaselineParams, files: Sequence[int]) -> tuple[int, ...]:
     """The uncached remainder (the low ``broadcast_bits``) of every file int, in file order."""
-    # From a list, not a generator: ``tuple`` then allocates the exact size. Over-allocating
-    # and shrinking once per enumerated library fills CPython's free list of small tuples.
-    return tuple([split(f, 2, params.broadcast_bits)[1] for f in files])
+    mask = (1 << params.broadcast_bits) - 1
+    # This runs once per enumerated library. An append loop, not a comprehension, which
+    # costs a frame per call; and a list, not a generator, so ``tuple`` allocates the exact
+    # size: over-allocating and shrinking fills CPython's free list of small tuples.
+    rests = []
+    for f in files:
+        rests.append(f & mask)
+    return tuple(rests)
 
 
 def baseline_deliver(params: BaselineParams, library: SubfileLibrary) -> tuple[tuple[int, ...], Fraction]:

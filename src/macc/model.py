@@ -70,9 +70,17 @@ def split(x: int, count: int, width: int) -> list[int]:
     for any ``x >= 0``, ``split(x, 2, w)`` cuts the low ``w`` bits off a wider ``x``, and an
     oversized ``x`` shows as an oversized first field rather than vanishing.
     """
+    if not count:
+        return []
+    # An append loop, not a comprehension, which costs a frame per call: this kernel runs
+    # several times per enumerated library. It counts fields, not shifts, so width 0 works.
+    shift = width * (count - 1)
+    fields = [x >> shift]
     mask = (1 << width) - 1
-    rest = [(x >> (width * i)) & mask for i in range(count - 2, -1, -1)]
-    return [x >> (width * (count - 1)), *rest] if count else []
+    for _ in range(count - 1):
+        shift -= width
+        fields.append((x >> shift) & mask)
+    return fields
 
 
 @dataclass(frozen=True)

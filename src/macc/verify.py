@@ -307,7 +307,13 @@ class PrivacyReport:
 
 def _subfiles(cfg: NetworkConfig, lib: int) -> list[list[int]]:
     """``files[n-1][j-1]``: subfile W_{n,j} of library ``lib`` as an int."""
-    return [split(f, cfg.subfiles_per_file, cfg.subfile_bits) for f in split(lib, cfg.N, cfg.F)]
+    # One cut into all N*S subfiles, file 1's first on top, then a slice per file.
+    S = cfg.subfiles_per_file
+    subfiles = split(lib, cfg.N * S, cfg.subfile_bits)
+    files = []
+    for i in range(0, cfg.N * S, S):
+        files.append(subfiles[i:i + S])
+    return files
 
 
 @dataclass(frozen=True)
@@ -384,23 +390,27 @@ class LiftedInstance:
         where the draws in key-index order first reach it, and the tally equals the
         ``Counter`` of every draw's ``u``, its keys in the same order. Key-index bit b is
         bit c of p_{i,a} (the fields of ``KeyMaterial.from_int``); that unit key makes
-        every (i, a, j) share ``column_j[c]`` and sets bit c of r_i.
+        every (i, a, j) share ``column_j[c]`` and sets bit c of r_i. At t = 1 no two unit
+        keys set the same bit of r, so every image is independent and none is reduced.
         """
         K, t, N, width = self.cfg.K, self.t, self.cfg.N, self.cfg.subfile_bits
         columns = self.columns(lib)
         tallies = []
         for labels in self.shares:
-            col, basis = [0], {}
+            col, basis, rank = [0], {}, 0
             for b in range(self.key_bits):
                 f, c = divmod(b, N)  # field f from the bottom, bit c of it
                 i, a = divmod(K * t - 1 - f, t)  # its owner and slot, 0-based
                 shares = pack((columns[j - 1][c] if (o, s) == (i + 1, a + 1) else 0 for o, s, j in labels), width)
                 image = (shares << (K * N)) | (1 << (N * (K - 1 - i) + c))
-                rest = coset_least(image, basis)
-                if rest:
+                if t > 1:
+                    rest = coset_least(image, basis)
+                    if not rest:
+                        continue
                     basis[rest.bit_length() - 1] = rest
-                    col += [v ^ image for v in col]
-            tallies.append(Counter(dict.fromkeys(col, 1 << (self.key_bits - len(basis)))))
+                rank += 1
+                col += [v ^ image for v in col]
+            tallies.append(Counter(dict.fromkeys(col, 1 << (self.key_bits - rank))))
         return tallies
 
     def demand_views(self, tallies: list[Counter], demands: tuple[int, ...]) -> list[dict[int, int]]:

@@ -7,10 +7,14 @@ from macc import (
     baseline_decode,
     baseline_deliver,
     baseline_place,
+    build_air,
+    coeff_xor,
     library_from_int,
     memory_grid_file_size,
     random_library,
+    split,
 )
+from macc.baseline import baseline_broadcast
 from macc.model import cached_block
 
 
@@ -96,11 +100,22 @@ def test_extreme_memory_points():
 
 
 def test_rate_identity_measured():
+    # M runs from 0 (all broadcast) to N/L = 1 (nothing broadcast). The broadcast's mask
+    # and the placement's shift cut each file where two-field ``split``s did.
+    air = build_air(4, 2)
     for M in [Fraction(0), Fraction(1, 3), Fraction(2, 3), Fraction(1)]:
         F = memory_grid_file_size(2, 2, [M])
         p = BaselineParams(4, 2, 2, F, M)
-        blocks, _ = baseline_deliver(p, make_library(2, F, 4))
+        lib = make_library(2, F, 4)
+        blocks, _ = baseline_deliver(p, lib)
         assert Fraction(len(blocks) * p.broadcast_bits, F) == 2 - 2 * M
+        files = lib.column(1)
+        assert baseline_broadcast(p, files) == blocks == tuple(split(f, 2, p.broadcast_bits)[1] for f in files)
+        pieces = [split(split(f, 2, p.broadcast_bits)[0], p.L, p.part_bits) for f in files]
+        assert baseline_place(p, lib) == tuple(
+            {("C", n, k): coeff_xor(air.rows[k - 1], parts) for n, parts in enumerate(pieces, 1)}
+            for k in range(1, p.K + 1)
+        )
 
 
 def test_place_rejects_wrong_files():

@@ -45,10 +45,18 @@ def test_bits_accepts_exactly_zero_to_two_to_the_n_minus_one(n):
             Bits(n, v)
 
 
+def _comprehension_split(x, count, width):
+    """``split`` in its earlier comprehension form, kept as the oracle of its fields."""
+    mask = (1 << width) - 1
+    rest = [(x >> (width * i)) & mask for i in range(count - 2, -1, -1)]
+    return [x >> (width * (count - 1)), *rest] if count else []
+
+
 @given(st.integers(0, 6), st.integers(0, 12), st.data())
 def test_pack_split_round_trip(count, width, data):
     x = data.draw(st.integers(0, 2 ** (count * width + 3) - 1))
     fields = split(x, count, width)
+    assert fields == _comprehension_split(x, count, width)
     assert len(fields) == count and pack(fields, width) == (x if count else 0)
     if x < 1 << (count * width):
         # In range, every field fits its width.
