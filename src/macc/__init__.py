@@ -12,7 +12,6 @@ from .gf2 import (
     build_air,
     check_air,
     coeff_xor,
-    gf2_rank,
     gf2_solve_window,
     invert_square,
 )

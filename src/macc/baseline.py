@@ -83,10 +83,10 @@ def baseline_broadcast(params: BaselineParams, files: Sequence[int]) -> tuple[in
     return tuple(rests)
 
 
-def baseline_deliver(params: BaselineParams, library: SubfileLibrary) -> tuple[tuple[int, ...], Fraction]:
-    """The broadcast's block tuple (every file's remainder) and its rate; demand-independent."""
+def baseline_deliver(params: BaselineParams, library: SubfileLibrary) -> tuple[int, ...]:
+    """The broadcast's block tuple, every file's remainder; demand-independent."""
     library.check_fits(params.cfg)
-    return baseline_broadcast(params, library.column(1)), params.rate
+    return baseline_broadcast(params, library.column(1))
 
 
 def baseline_decode(params: BaselineParams, k: int, blocks: Sequence[int], window: Cache) -> tuple[int, ...]:

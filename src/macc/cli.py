@@ -19,7 +19,7 @@ from typing import Sequence, Union
 from .baseline import BaselineParams, baseline_deliver, memory_grid_file_size
 from .lifting import KeyMaterial, lift_deliver, lifted_memory
 from .model import NetworkConfig, SubfileLibrary, random_library
-from .private_sets import algorithm1_private_set, smallest_private_set_oracle
+from .private_sets import algorithm1_private_set, is_private_set, smallest_private_set_oracle
 from .schemes import make_scheme
 from .verify import (
     BaselineInstance,
@@ -63,19 +63,19 @@ def fmt_fraction(x: Fraction, as_float: bool) -> str:
     return repr(float(x)) if as_float else str(Fraction(x))
 
 
-def private_set_offsets(mode: str, cfg: NetworkConfig) -> tuple[tuple[int, ...], bool]:
-    """Resolve a private-set mode to user 1's cache offsets; second value is
-    whether the offsets are guaranteed valid (naive-lwcc is not, by design)."""
+def private_set_offsets(mode: str, cfg: NetworkConfig) -> tuple[int, ...]:
+    """Resolve a private-set mode to the caches of user 1's key shares. naive-lwcc's
+    ``(1, L)`` need not be a private set; the privacy engines say whether it leaks."""
     if mode == "oracle":
-        return smallest_private_set_oracle(cfg)[1].caches, True
+        return smallest_private_set_oracle(cfg)[1].caches
     if mode == "algorithm1":
-        return algorithm1_private_set(cfg).caches, True
+        return algorithm1_private_set(cfg).caches
     if mode == "full":
-        return tuple(range(1, cfg.L + 1)), True
+        return tuple(range(1, cfg.L + 1))
     if mode == "naive-lwcc":
         if cfg.L < 2:
             raise UsageError("naive-lwcc key placement needs L >= 2")
-        return (1, cfg.L), False
+        return (1, cfg.L)
     raise UsageError(f"unknown private-set mode {mode!r}")
 
 
@@ -114,11 +114,11 @@ def cmd_verify(args) -> int:
     elif args.scheme.startswith("lifted:"):
         with _from_flags():
             base, cfg = _base_scheme(args, args.scheme.split(":", 1)[1])
-            offsets, valid = private_set_offsets(args.private_set, cfg)
+            offsets = private_set_offsets(args.private_set, cfg)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, args.seed)
         files = [library.file(n) for n in range(1, cfg.N + 1)]
         instance = LiftedInstance(base, cfg, offsets)
-        run = make_lifted_runner(base, cfg, offsets, library, enforce_private=valid)
+        run = make_lifted_runner(base, cfg, offsets, library)
         seeds = [args.seed + i for i in range(3)]
         report["private_set"] = list(offsets)
     else:
@@ -156,9 +156,9 @@ def cmd_tradeoff(args) -> int:
             except ValueError as e:
                 print(f"skipping M={M}: {e}", file=sys.stderr)
                 continue
-            blocks, _ = baseline_deliver(params, random_library(args.N, F, 1, DEFAULT_SEED))
+            blocks = baseline_deliver(params, random_library(args.N, F, 1, DEFAULT_SEED))
             rate = Fraction(len(blocks) * params.broadcast_bits, F)
-            if rate != params.N - params.L * M:
+            if rate != params.rate:
                 print(f"verification failed: M={M}: the broadcast takes {rate} files, not N - L*M", file=sys.stderr)
                 return 1
             rows.append((M, rate, 0, scheme, ""))
@@ -167,7 +167,7 @@ def cmd_tradeoff(args) -> int:
         with _from_flags():
             cfg = _nonprivate_cfg(args)
             make_scheme(base_name).validate(cfg)
-            offsets, _ = private_set_offsets(args.private_set, cfg)
+            offsets = private_set_offsets(args.private_set, cfg)
         t = len(offsets)
         library = random_library(cfg.N, cfg.F, cfg.subfiles_per_file, DEFAULT_SEED)
         keys = KeyMaterial.generate(cfg.K, t, cfg.N, DEFAULT_SEED)
@@ -187,10 +187,11 @@ def cmd_tradeoff(args) -> int:
                 continue
             # Lifting must leave the base rate unchanged; Q is counted apart from it.
             tx = lift_deliver(base, cfg, keys, library, (1,) * cfg.K)
-            if tx.rate != base.rate(cfg):
-                print(f"verification failed: M={M}: lifting moved the rate {base.rate(cfg)} to {tx.rate}", file=sys.stderr)
+            rate = Fraction(len(tx.blocks) * cfg.subfile_bits, cfg.F)
+            if rate != base.rate(cfg):
+                print(f"verification failed: M={M}: lifting moved the rate {base.rate(cfg)} to {rate}", file=sys.stderr)
                 return 1
-            rows.append((lifted_memory(M, t, cfg.L, cfg.N), tx.rate, tx.q_bits, scheme, t))
+            rows.append((lifted_memory(M, t, cfg.L, cfg.N), rate, tx.q_bits, scheme, t))
     else:
         raise UsageError(f"tradeoff supports baseline-private and lifted:* schemes, not {scheme!r}")
 
@@ -236,12 +237,12 @@ def cmd_attack(args) -> int:
     with _from_flags():
         cfg = NetworkConfig(args.K, args.L, args.N, subfile_bits * args.K, args.K)
         base = make_scheme("cyclic-uncoded", t_placement=1)
-        offsets, _ = private_set_offsets(args.private_set, cfg)
+        offsets = private_set_offsets(args.private_set, cfg)
     library = _distinct_column_library(cfg, args.seed)
     seeds = [args.seed + i for i in range(args.seeds)]
     rate = attack_success_rate(base, cfg, offsets, library, seeds)
     note = None
-    if args.private_set == "naive-lwcc" and cfg.L <= math.ceil(cfg.K / 2):
+    if args.private_set == "naive-lwcc" and is_private_set(offsets, 1, cfg):
         note = "L <= ceil(K/2): the naive set is a valid private set here; no flaw exhibited"
     _emit(
         {

@@ -27,15 +27,6 @@ class Gf2Matrix:
     def n_rows(self) -> int:
         return len(self.rows)
 
-    def entry(self, r: int, c: int) -> int:
-        return (self.rows[r] >> c) & 1
-
-    @classmethod
-    def from_lists(cls, entries: Sequence[Sequence[int]]) -> "Gf2Matrix":
-        cols = len(entries[0])
-        rows = tuple(sum((e & 1) << c for c, e in enumerate(row)) for row in entries)
-        return cls(cols, rows)
-
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
         return cls(n, tuple(1 << i for i in range(n)))
@@ -83,12 +74,6 @@ def coset_least(v: int, basis: Mapping[int, int]) -> int:
 def rank_of_rows(rows: Iterable[int]) -> int:
     """Rank over GF(2): the size of a ``span_basis``."""
     return len(span_basis(rows))
-
-
-def gf2_rank(m: Gf2Matrix) -> int:
-    if not m.rows:
-        raise ValueError("empty matrix")
-    return rank_of_rows(m.rows)
 
 
 def _window_rows(m: Gf2Matrix, start: int) -> list[int]:

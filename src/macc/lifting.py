@@ -36,7 +36,6 @@ from .model import (
     mod_index,
     split,
 )
-from .private_sets import is_private_set
 from .schemes import NonPrivateScheme, check_condition_c1
 
 
@@ -99,21 +98,18 @@ def lift_place(
     offsets: Sequence[int],
     library: SubfileLibrary,
     keys: KeyMaterial,
-    enforce_private: bool = True,
 ) -> PlacementState:
-    """Two-round placement: the base placement plus coded key shares on the private sets.
+    """Two-round placement: the base placement plus coded key shares on the given caches.
 
-    `offsets` are user 1's private-set cache indices; other users' sets follow
-    by cyclic shift. `enforce_private=False` permits invalid key placements
-    (used to demonstrate the known-broken naive placement).
+    `offsets` are the caches of user 1's key shares; other users' follow by cyclic
+    shift. Any set is placed: whether it is a private set, and so whether the
+    lifted scheme leaks, is for the privacy engines to decide.
     """
     caches = base.place(cfg, library)  # round 1
     offsets = tuple(sorted(offsets))
     t = len(offsets)
     if not check_condition_c1(base, cfg):
         raise ValueError("base scheme violates condition C1")
-    if enforce_private and not is_private_set(offsets, 1, cfg):
-        raise ValueError(f"offsets {offsets} do not form a private set for K={cfg.K}, L={cfg.L}")
     if (keys.K, keys.t, keys.N) != (cfg.K, t, cfg.N):
         raise ValueError("key material shape does not match the configuration")
 
@@ -135,7 +131,6 @@ class LiftedTransmission:
     q_columns: tuple[int, ...]  # column k at index k-1, an N-bit mask
     n_files: int
     blocks: tuple[int, ...]
-    rate: Fraction
 
     @property
     def q_bits(self) -> int:
@@ -159,8 +154,7 @@ def lift_deliver(
     base.validate(vcfg)
     columns = [[sf.v for sf in column] for column in zip(*library.files)]
     blocks = base.blocks(vcfg, users, lambda v, j: coeff_xor(q[v - 1], columns[j - 1]))
-    rate = Fraction(len(blocks) * cfg.subfile_bits, cfg.F)
-    return LiftedTransmission(q, cfg.N, blocks, rate)
+    return LiftedTransmission(q, cfg.N, blocks)
 
 
 @dataclass(frozen=True)
@@ -191,7 +185,7 @@ def lift_decoder(
 
     User k always demands virtual file k, so its peel schedule is the one of the
     virtual demand vector (1..K), and only Q and the payload change between
-    broadcasts. ``offsets`` is the private set ``lift_place`` was given: user k folds
+    broadcasts. ``offsets`` is the cache set ``lift_place`` was given: user k folds
     all ``len(offsets)`` of its key shares of each peeled subfile into one strip, so
     a share missing from its caches is a ``LookupError`` here, not a wrong file later.
     A schedule leaving a subfile unrecovered is a ``LookupError`` too.

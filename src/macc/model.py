@@ -38,21 +38,12 @@ class Bits:
             raise ValueError(f"XOR length mismatch: {self.n} vs {other.n}")
         return Bits(self.n, self.v ^ other.v)
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.v >> (self.n - 1 - i)) & 1
-
     def to01(self) -> str:
         return format(self.v, f"0{self.n}b") if self.n else ""
 
     @classmethod
     def from01(cls, s: str) -> "Bits":
         return cls(len(s), int(s, 2) if s else 0)
-
-    @classmethod
-    def zeros(cls, n: int) -> "Bits":
-        return cls(n, 0)
 
 
 def pack(fields: Iterable[int], width: int) -> int:

@@ -107,17 +107,14 @@ class NonPrivateScheme(ABC):
             reduce(xor, [subfile(n, j) for n, j in group]) if group else 0 for group in self._plan(cfg, demands)
         ])
 
-    def deliver(
-        self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]
-    ) -> tuple[tuple[int, ...], Fraction]:
-        """The payload as its blocks in plan order, and the rate they take in file units."""
+    def deliver(self, cfg: NetworkConfig, library: SubfileLibrary, demands: Sequence[int]) -> tuple[int, ...]:
+        """The payload as its blocks in plan order."""
         self.validate(cfg)
         library.check_fits(cfg)
         demands = tuple(demands)
         if any(not 1 <= d <= cfg.N for d in demands) or len(demands) != cfg.K:
             raise ValueError(f"bad demand vector {demands} for N={cfg.N}, K={cfg.K}")
-        blocks = self.blocks(cfg, demands, lambda n, j: library.subfile(n, j).v)
-        return blocks, Fraction(len(blocks) * cfg.subfile_bits, cfg.F)
+        return self.blocks(cfg, demands, lambda n, j: library.subfile(n, j).v)
 
     @lru_cache(maxsize=256)
     def _peel(self, cfg: NetworkConfig, demands: tuple[int, ...]) -> tuple[PeelSchedule, ...]:
@@ -241,15 +238,13 @@ class Example1Scheme(NonPrivateScheme):
         return (tuple((demands[k - 1], mod_index(k - 1, cfg.K)) for k in range(1, cfg.K + 1)),)
 
 
-SCHEME_NAMES = {
+SCHEMES = {
     "cyclic-uncoded": CyclicUncodedScheme,
-    "example1": Example1Scheme,
+    "example1": lambda t_placement: Example1Scheme(),
 }
 
 
 def make_scheme(name: str, t_placement: int = 1) -> NonPrivateScheme:
-    if name == "cyclic-uncoded":
-        return CyclicUncodedScheme(t_placement)
-    if name == "example1":
-        return Example1Scheme()
-    raise ValueError(f"unknown scheme {name!r}; known: {sorted(SCHEME_NAMES)}")
+    if name not in SCHEMES:
+        raise ValueError(f"unknown scheme {name!r}; known: {sorted(SCHEMES)}")
+    return SCHEMES[name](t_placement)

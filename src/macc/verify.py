@@ -210,7 +210,7 @@ def make_nonprivate_runner(
         if not windows:
             placement = scheme.place(cfg, library)
             windows.extend(cached_block(cfg, k, placement) for k in range(1, cfg.K + 1))
-        blocks, _ = scheme.deliver(cfg, library, demands)
+        blocks = scheme.deliver(cfg, library, demands)
         return [scheme.decode(cfg, k, blocks, windows[k - 1], demands) for k in range(1, cfg.K + 1)]
 
     return run
@@ -220,7 +220,7 @@ def make_baseline_runner(params: BaselineParams, files: Sequence[Bits]) -> Runne
     """Placement, broadcast and each user's N decoded files are fixed, so all are made once."""
     library = SubfileLibrary(tuple((f,) for f in files))  # each file one subfile
     placement = baseline_place(params, library)
-    blocks, _ = baseline_deliver(params, library)
+    blocks = baseline_deliver(params, library)
     windows = [cached_block(params.cfg, k, placement) for k in range(1, params.K + 1)]
     decoded = [[(f,) for f in baseline_decode(params, k, blocks, w)] for k, w in enumerate(windows, 1)]
 
@@ -235,7 +235,6 @@ def make_lifted_runner(
     cfg: NetworkConfig,
     offsets: Sequence[int],
     library: SubfileLibrary,
-    enforce_private: bool = True,
 ) -> Runner:
     """Places each key seed once, and builds each user's decoder from its window then,
     so a round trip delivers and XORs. A ``None`` seed is refused by
@@ -245,7 +244,7 @@ def make_lifted_runner(
     def run(seed, demands):
         if seed not in placements:
             keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
-            placement = lift_place(base, cfg, offsets, library, keys, enforce_private)
+            placement = lift_place(base, cfg, offsets, library, keys)
             placements[seed] = (
                 keys,
                 [lift_decoder(base, cfg, offsets, k, cached_block(cfg, k, placement)) for k in range(1, cfg.K + 1)],
@@ -370,7 +369,7 @@ class LiftedInstance:
         cfg = self.cfg
         library = library_from_int(cfg.N, cfg.subfiles_per_file, cfg.subfile_bits, 0)
         keys = KeyMaterial.from_int(cfg.K, self.t, cfg.N, 0)
-        placement = lift_place(self.base, cfg, self.offsets, library, keys, enforce_private=False)
+        placement = lift_place(self.base, cfg, self.offsets, library, keys)
         windows = [sorted(accessible_caches(k, cfg)) for k in range(1, cfg.K + 1)]
         return [tuple(lb[1:] for c in w for lb in placement[c - 1] if lb[0] == "S") for w in windows]
 
@@ -645,7 +644,7 @@ def _remark1_attacker(
     """Place once for the key seed; the returned trial guesses user 1's demand per delivery."""
     offsets = tuple(sorted(offsets))
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, seed)
-    placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
+    placement = lift_place(base, cfg, offsets, library, keys)
 
     # User L XORs those of user 1's key shares of subfile j0 that its own window holds.
     j0 = min(base.missing_subfile_indices(cfg, 1))

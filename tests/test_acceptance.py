@@ -58,7 +58,7 @@ def test_criterion_1_baseline_rate_identity():
                     for M in range(N // L + 1):
                         p = BaselineParams(K, L, N, F, Fraction(M))
                         lib = random_library(N, F, 1, 1000 * K + 10 * L)
-                        blocks, _ = baseline_deliver(p, lib)
+                        blocks = baseline_deliver(p, lib)
                         assert Fraction(len(blocks) * p.broadcast_bits, F) == N - L * M
                         placement = baseline_place(p, lib)
                         for k in range(1, K + 1):
@@ -84,7 +84,6 @@ def test_criterion_2_lifted_example1_memory_rate():
         # Rate and Q overhead, plus the full demand sweep.
         for demands in all_demand_vectors(N, 3):
             tx = lift_deliver(base, cfg, keys, lib, demands)
-            assert tx.rate == Fraction(1, 3)
             assert Fraction(len(tx.blocks) * cfg.subfile_bits, cfg.F) == Fraction(1, 3)
             assert tx.q_bits == 9
             for k in range(1, 4):
@@ -182,7 +181,6 @@ def test_criterion_6_lifted_accounting():
                             assert measured == m_tilde, (K, L, t_p, measured, m_tilde)
                         for demands in all_demand_vectors(N, K):
                             tx = lift_deliver(base, cfg, keys, lib, demands)
-                            assert tx.rate == base_rate
                             assert Fraction(len(tx.blocks) * cfg.subfile_bits, cfg.F) == base_rate
 
     report(6, checks)
@@ -204,7 +202,7 @@ def test_criterion_7_air_sweep():
                     for r in range(K):
                         acc = 0
                         for c in range(L):
-                            if m.entry(r, c):
+                            if (m.rows[r] >> c) & 1:
                                 acc ^= pieces[c]
                         coded.append(acc)
                     start = trial % K + 1

@@ -61,12 +61,11 @@ def test_placement_size_matches_memory():
 def test_delivery_is_demand_independent_and_sized():
     p = BaselineParams(4, 2, 3, 12, Fraction(1))
     lib = make_library(3, 12, 3)
-    blocks, rate = baseline_deliver(p, lib)
-    assert rate == p.rate == 1
+    blocks = baseline_deliver(p, lib)
     assert len(blocks) == p.N and all(0 <= b < 1 << p.broadcast_bits for b in blocks)
-    assert len(blocks) * p.broadcast_bits == rate * p.F
+    assert Fraction(len(blocks) * p.broadcast_bits, p.F) == p.rate == 1
     # No demand argument exists at all; re-delivery is bit-identical.
-    assert baseline_deliver(p, lib)[0] == blocks
+    assert baseline_deliver(p, lib) == blocks
 
 
 def test_every_user_recovers_every_file():
@@ -76,7 +75,7 @@ def test_every_user_recovers_every_file():
         p = BaselineParams(K, L, N, F, M)
         lib = make_library(N, F, seed=K * 7 + L)
         placement = baseline_place(p, lib)
-        blocks, _ = baseline_deliver(p, lib)
+        blocks = baseline_deliver(p, lib)
         for k in range(1, K + 1):
             assert decode_all(p, k, blocks, placement) == tuple(lib.column(1))
 
@@ -86,14 +85,14 @@ def test_extreme_memory_points():
     p0 = BaselineParams(3, 2, 2, 6, Fraction(0))
     lib = make_library(2, 6, 9)
     files = tuple(lib.column(1))
-    blocks, rate = baseline_deliver(p0, lib)
-    assert rate == 2 and blocks == files
+    blocks = baseline_deliver(p0, lib)
+    assert Fraction(len(blocks) * p0.broadcast_bits, p0.F) == 2 and blocks == files
     placement = baseline_place(p0, lib)
     assert decode_all(p0, 2, blocks, placement) == files
     # M = N/L: zero-rate corner, everything comes from the caches.
     p1 = BaselineParams(3, 2, 2, 6, Fraction(1))
-    blocks, rate = baseline_deliver(p1, lib)
-    assert rate == 0 and p1.broadcast_bits == 0 and blocks == (0, 0)
+    blocks = baseline_deliver(p1, lib)
+    assert p1.rate == 0 and p1.broadcast_bits == 0 and blocks == (0, 0)
     placement = baseline_place(p1, lib)
     for k in (1, 2, 3):
         assert decode_all(p1, k, blocks, placement) == files
@@ -107,7 +106,7 @@ def test_rate_identity_measured():
         F = memory_grid_file_size(2, 2, [M])
         p = BaselineParams(4, 2, 2, F, M)
         lib = make_library(2, F, 4)
-        blocks, _ = baseline_deliver(p, lib)
+        blocks = baseline_deliver(p, lib)
         assert Fraction(len(blocks) * p.broadcast_bits, F) == 2 - 2 * M
         files = lib.column(1)
         assert baseline_broadcast(p, files) == blocks == tuple(split(f, 2, p.broadcast_bits)[1] for f in files)
@@ -143,7 +142,7 @@ def test_decode_refuses_a_payload_of_the_wrong_length(count):
     p = BaselineParams(4, 2, 3, 24, Fraction(1))
     lib = make_library(3, 24, 3)
     placement = baseline_place(p, lib)
-    blocks, _ = baseline_deliver(p, lib)
+    blocks = baseline_deliver(p, lib)
     assert decode_all(p, 2, blocks, placement) == tuple(lib.column(1))
     wrong = (blocks + blocks)[:count]
     with pytest.raises(ValueError, match="user 2"):

@@ -5,7 +5,6 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -111,7 +110,7 @@ def test_tradeoff_lifted_resolves_the_base_scheme_before_the_grid(capsys):
     # An unknown base scheme or a network it does not fit is a usage error, even
     # when the grid would skip every point.
     assert main(["tradeoff", "--scheme", "lifted:nope", "--memory-grid", "1/2"]) == 2
-    assert "unknown scheme 'nope'" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: unknown scheme 'nope'; known: ['cyclic-uncoded', 'example1']\n"
     assert main(["tradeoff", "--scheme", "lifted:example1", "--K", "4", "--L", "2"]) == 2
 
 
@@ -132,8 +131,7 @@ def test_tradeoff_baseline_broadcast_off_the_rate_identity_exits_one(capsys, mon
     real = macc.cli.baseline_deliver
 
     def one_more_block(params, library):
-        blocks, rate = real(params, library)
-        return blocks + (0,), rate
+        return real(params, library) + (0,)
 
     monkeypatch.setattr(macc.cli, "baseline_deliver", one_more_block)
     args = ["tradeoff", "--scheme", "baseline-private", "--K", "4", "--L", "2", "--N", "2", "--memory-grid", "1/2"]
@@ -149,8 +147,7 @@ def test_tradeoff_lifted_rate_off_the_base_rate_exits_one(capsys, monkeypatch):
 
     def one_more_block(base, cfg, keys, library, demands):
         tx = real(base, cfg, keys, library, demands)
-        blocks = tx.blocks + (0,)
-        return replace(tx, blocks=blocks, rate=Fraction(len(blocks) * cfg.subfile_bits, cfg.F))
+        return replace(tx, blocks=tx.blocks + (0,))
 
     monkeypatch.setattr(macc.cli, "lift_deliver", one_more_block)
     assert main(["tradeoff", "--scheme", "lifted:example1", "--N", "3"]) == 1
@@ -188,6 +185,18 @@ def test_attack_command(tmp_path, capsys):
     data = json.loads(out_file.read_text())
     assert data["success_rate"] == "1"
     assert data["trials"] == 3 * 2**4
+
+
+@pytest.mark.parametrize(
+    "K, note",
+    [(5, "L <= ceil(K/2): the naive set is a valid private set here; no flaw exhibited"), (4, None)],
+    ids=["K5-L3-private", "K4-L3-leaks"],
+)
+def test_attack_note_says_whether_the_naive_set_is_private(capsys, K, note):
+    # The naive set (1, L) lies in user 1's window alone at K=5, L=3; at K=4, L=3
+    # user 3's window {3, 4, 1} holds it too.
+    assert main(["attack", "--K", str(K), "--L", "3", "--N", "2", "--private-set", "naive-lwcc", "--seeds", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["note"] == note
 
 
 def test_config_file_defaults(tmp_path, capsys):

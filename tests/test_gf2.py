@@ -11,7 +11,6 @@ from macc import (
     build_air,
     check_air,
     coeff_xor,
-    gf2_rank,
     gf2_solve_window,
     invert_square,
     random_library,
@@ -59,22 +58,22 @@ def test_coset_least_is_the_least_element_of_the_coset(rows, v):
 
 
 def test_matrix_entry_and_identity():
-    m = Gf2Matrix.from_lists([[1, 0], [0, 1], [1, 1]])
-    assert m.entry(0, 0) == 1 and m.entry(0, 1) == 0
-    assert m.entry(2, 0) == 1 and m.entry(2, 1) == 1
-    assert gf2_rank(m) == 2
-    assert gf2_rank(Gf2Matrix.identity(4)) == 4
+    m = Gf2Matrix(2, (0b01, 0b10, 0b11))  # bit c of a row is column c
+    assert (m.rows[0] >> 0) & 1 == 1 and (m.rows[0] >> 1) & 1 == 0
+    assert (m.rows[2] >> 0) & 1 == 1 and (m.rows[2] >> 1) & 1 == 1
+    assert rank_of_rows(m.rows) == 2
+    assert rank_of_rows(Gf2Matrix.identity(4).rows) == 4
 
 
 def test_check_air_known_cases():
     # Rows e1, e2, e1+e2: every 2 cyclically adjacent rows independent.
-    good = Gf2Matrix.from_lists([[1, 0], [0, 1], [1, 1]])
+    good = Gf2Matrix(2, (0b01, 0b10, 0b11))
     assert check_air(good)
     # Repeating a row breaks the wrap-around window.
-    bad = Gf2Matrix.from_lists([[1, 0], [0, 1], [1, 0]])
+    bad = Gf2Matrix(2, (0b01, 0b10, 0b01))
     assert not check_air(bad)
     # Stacked identities for L dividing K.
-    stacked = Gf2Matrix.from_lists([[1, 0], [0, 1], [1, 0], [0, 1]])
+    stacked = Gf2Matrix(2, (0b01, 0b10, 0b01, 0b10))
     assert check_air(stacked)
 
 
@@ -115,7 +114,7 @@ def test_solve_window_round_trip():
         for r in range(K):
             acc = 0
             for c in range(L):
-                if m.entry(r, c):
+                if (m.rows[r] >> c) & 1:
                     acc ^= pieces[c]
             coded.append(acc)
         for start in range(1, K + 1):

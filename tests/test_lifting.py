@@ -138,8 +138,8 @@ def test_rate_and_q_overhead():
     keys = KeyMaterial.generate(3, 2, 3, 4)
     lib = random_library(3, 6, 3, 4)
     tx = lift_deliver(base, cfg, keys, lib, (2, 3, 1))
-    assert tx.rate == Fraction(1, 3)
     assert len(tx.blocks) == 1  # one coded block of subfile size
+    assert Fraction(len(tx.blocks) * cfg.subfile_bits, cfg.F) == Fraction(1, 3)
     assert tx.q_bits == 9  # K columns of N bits each
     assert all(0 <= q < 8 for q in tx.q_columns)
 
@@ -177,8 +177,7 @@ def test_zero_keys_reduce_to_base_scheme():
     keys = KeyMaterial(3, 2, 2, ((0, 0),) * 3)
     demands = (2, 1, 1)
     tx = lift_deliver(base, cfg, keys, lib, demands)
-    base_blocks, _ = base.deliver(cfg, lib, demands)
-    assert tx.blocks == base_blocks
+    assert tx.blocks == base.deliver(cfg, lib, demands)
 
 
 @pytest.mark.parametrize(
@@ -200,19 +199,7 @@ def test_lifted_payload_is_the_base_delivery_over_the_virtual_library(base, cfg,
             tuple(Bits(cfg.subfile_bits, coeff_xor(q, lib.column(j))) for j in range(1, cfg.K + 1))
             for q in tx.q_columns
         ))
-        assert (tx.blocks, tx.rate) == base.deliver(virtual_config(cfg), vlib, tuple(range(1, cfg.K + 1)))
-
-
-def test_lift_place_rejects_non_private_offsets():
-    cfg = NetworkConfig(4, 3, 2, 8, 4)
-    base = make_scheme("cyclic-uncoded", 1)
-    lib = random_library(2, 8, 4, 1)
-    keys = KeyMaterial.generate(4, 2, 2, 1)
-    # (1, 3) also lies inside user 3's window {3, 4, 1}, so it is not private.
-    with pytest.raises(ValueError):
-        lift_place(base, cfg, (1, 3), lib, keys)
-    # enforce_private=False lets it through for attack demonstrations.
-    lift_place(base, cfg, (1, 3), lib, keys, enforce_private=False)
+        assert tx.blocks == base.deliver(virtual_config(cfg), vlib, tuple(range(1, cfg.K + 1)))
 
 
 def test_key_shares_stay_within_accessible_caches():

@@ -21,9 +21,9 @@ def test_bits_basic():
     b = Bits.from01("1011")
     assert b.n == 4 and b.v == 0b1011
     assert b.to01() == "1011"
-    assert b.bit(0) == 1 and b.bit(1) == 0 and b.bit(3) == 1
+    assert [(b.v >> (b.n - 1 - i)) & 1 for i in (0, 1, 3)] == [1, 0, 1]  # bit 0 is the leftmost
     assert (b ^ Bits.from01("0110")).to01() == "1101"
-    assert Bits.zeros(3).to01() == "000"
+    assert Bits(3, 0).to01() == "000"
 
 
 def test_bits_rejects_mismatched_xor():
@@ -65,13 +65,13 @@ def test_pack_split_round_trip(count, width, data):
 
 @given(st.integers(1, 40), st.data())
 def test_bits_slice_concat_inverse(n, data):
-    # Cutting a Bits value into 1-bit fields follows Bits.bit order, and packing a head
+    # Cutting a Bits value into 1-bit fields gives its bits leftmost first, and packing a head
     # and a tail cut at any point joins back to the whole value.
     v = data.draw(st.integers(0, 2**n - 1))
     cut = data.draw(st.integers(0, n))
     b = Bits(n, v)
     bits = split(b.v, n, 1)
-    assert bits == [b.bit(i) for i in range(n)]
+    assert bits == [(b.v >> (n - 1 - i)) & 1 for i in range(n)]
     head, tail = pack(bits[:cut], 1), pack(bits[cut:], 1)
     assert Bits(cut, head).to01() + Bits(n - cut, tail).to01() == b.to01()
     assert Bits(n, (head << (n - cut)) | tail) == b
@@ -82,7 +82,7 @@ def test_concat_and_xor_helpers():
     parts = [Bits.from01("10"), Bits.from01("01"), Bits.from01("11")]
     assert Bits(6, pack([p.v for p in parts], 2)).to01() == "100111"
     assert split(0b100111, 3, 2) == [p.v for p in parts]
-    acc = Bits.zeros(2)
+    acc = Bits(2, 0)
     for p in parts:
         acc = acc ^ p
     assert acc.to01() == "00"

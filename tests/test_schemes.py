@@ -27,7 +27,7 @@ from macc.schemes import NonPrivateScheme
 
 
 def decode_all(scheme, cfg, library, demands):
-    blocks, _ = scheme.deliver(cfg, library, demands)
+    blocks = scheme.deliver(cfg, library, demands)
     placement = scheme.place(cfg, library)
     return [scheme.decode(cfg, k, blocks, cached_block(cfg, k, placement), demands) for k in range(1, cfg.K + 1)]
 
@@ -58,7 +58,7 @@ def test_decode_refuses_a_payload_of_the_wrong_length():
     s = make_scheme("cyclic-uncoded", 1)
     lib = random_library(2, 8, 4, 21)
     demands = (1, 2, 2, 1)
-    blocks, _ = s.deliver(cfg, lib, demands)
+    blocks = s.deliver(cfg, lib, demands)
     window = cached_block(cfg, 2, s.place(cfg, lib))
     assert s.decode(cfg, 2, blocks, window, demands) == cut(cfg, lib, 2)
     for bad in (blocks[:-1], blocks + (0,)):
@@ -79,9 +79,9 @@ def test_example1_all_demands_decode():
 def test_example1_payload_is_single_subfile_block():
     cfg = NetworkConfig(3, 2, 2, 6, 3)
     lib = random_library(2, 6, 3, 5)
-    blocks, rate = make_scheme("example1").deliver(cfg, lib, (2, 1, 2))
+    blocks = make_scheme("example1").deliver(cfg, lib, (2, 1, 2))
     assert blocks == ((lib.subfile(2, 3) ^ lib.subfile(1, 1) ^ lib.subfile(2, 2)).v,)
-    assert rate == Fraction(1, 3)
+    assert Fraction(len(blocks) * cfg.subfile_bits, cfg.F) == Fraction(1, 3)
 
 
 def test_example1_rejects_wrong_shape():

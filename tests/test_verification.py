@@ -432,7 +432,7 @@ def test_decoders_read_only_their_users_caches(base, cfg):
     keys = KeyMaterial.generate(cfg.K, len(offsets), cfg.N, 61)
     placed, lifted = base.place(cfg, lib), lift_place(base, cfg, offsets, lib, keys)
     for demands in all_demand_vectors(cfg.N, cfg.K):
-        blocks, _ = base.deliver(cfg, lib, demands)
+        blocks = base.deliver(cfg, lib, demands)
         tx = lift_deliver(base, cfg, keys, lib, demands)
         for k in range(1, cfg.K + 1):
             window, d_k = accessible_caches(k, cfg), demands[k - 1]
@@ -467,7 +467,7 @@ def test_baseline_decoder_reads_only_its_users_caches():
     p = BaselineParams(5, 3, 3, 27, Fraction(1, 3))
     lib = random_library(p.N, p.F, 1, 70)
     placement = baseline_place(p, lib)
-    blocks, _ = baseline_deliver(p, lib)
+    blocks = baseline_deliver(p, lib)
     for k in range(1, p.K + 1):
         window = accessible_caches(k, p.cfg)
         kept = cached_block(p.cfg, k, _keep_caches(placement, window))
@@ -713,7 +713,7 @@ def test_runner_kernels_are_the_public_decoders():
         placement = base.place(cfg, lib)
         run = make_nonprivate_runner(base, cfg, lib)
         for d in all_demand_vectors(cfg.N, cfg.K):
-            blocks, _ = base.deliver(cfg, lib, d)
+            blocks = base.deliver(cfg, lib, d)
             got = run(None, d)
             for k in range(1, cfg.K + 1):
                 assert got[k - 1] == base.decode(cfg, k, blocks, cached_block(cfg, k, placement), d)
@@ -728,7 +728,7 @@ def test_runner_kernels_are_the_public_decoders():
                     assert got[k - 1] == lift_decode(decoder, tx, d[k - 1])
     p = BaselineParams(4, 2, 3, 24, Fraction(1))
     lib = random_library(p.N, p.F, 1, 40)
-    blocks, _ = baseline_deliver(p, lib)
+    blocks = baseline_deliver(p, lib)
     placement = baseline_place(p, lib)
     public = [baseline_decode(p, k, blocks, cached_block(p.cfg, k, placement)) for k in range(1, p.K + 1)]
     run = make_baseline_runner(p, [lib.file(n) for n in range(1, p.N + 1)])
@@ -736,6 +736,24 @@ def test_runner_kernels_are_the_public_decoders():
         got = run(None, d)
         for k in range(1, p.K + 1):
             assert got[k - 1] == tuple(split(public[k - 1][d[k - 1] - 1], 1, p.F))
+
+
+def test_every_delivery_is_a_block_tuple_at_its_declared_rate():
+    # Each kind delivers a tuple of int blocks and nothing else: the blocks alone
+    # carry the rate, their count times the block width over F.
+    def measured(blocks, width, F):
+        assert type(blocks) is tuple and all(type(b) is int for b in blocks)
+        return Fraction(len(blocks) * width, F)
+
+    for base, cfg in _kernel_instances():
+        lib = random_library(cfg.N, cfg.F, cfg.K, 64)
+        keys = KeyMaterial.generate(cfg.K, len(algorithm1_private_set(cfg).caches), cfg.N, 64)
+        for d in all_demand_vectors(cfg.N, cfg.K):
+            assert measured(base.deliver(cfg, lib, d), cfg.subfile_bits, cfg.F) == base.rate(cfg)
+            assert measured(lift_deliver(base, cfg, keys, lib, d).blocks, cfg.subfile_bits, cfg.F) == base.rate(cfg)
+    for M in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        p = BaselineParams(4, 2, 3, 24, M)
+        assert measured(baseline_deliver(p, random_library(p.N, p.F, 1, 64)), p.broadcast_bits, p.F) == p.rate
 
 
 def _per_call_lift_decode(base, cfg, offsets, k, tx, cached, d_k):
@@ -1044,7 +1062,7 @@ def _reference_privacy(base, cfg, offsets):
         joints = [[Counter() for _ in range(N)] for _ in range(K)]  # joints[k-1][d_k-1]
         for key_index in range(1 << (K * t * N)):
             keys = KeyMaterial.from_int(K, t, N, key_index)
-            placement = lift_place(base, cfg, offsets, library, keys, enforce_private=False)
+            placement = lift_place(base, cfg, offsets, library, keys)
             windows = [
                 tuple(
                     tuple(sorted(placement[c - 1].items()))
@@ -1113,7 +1131,7 @@ def _lifting_code_views(inst, library, keys, demands):
     """Each user's view int, field by field from ``lift_place`` and ``lift_deliver``:
     its key shares (caches ascending, then by label) and the packed Q."""
     cfg, b = inst.cfg, inst.cfg.subfile_bits
-    placement = lift_place(inst.base, cfg, inst.offsets, library, keys, enforce_private=False)
+    placement = lift_place(inst.base, cfg, inst.offsets, library, keys)
     tx = lift_deliver(inst.base, cfg, keys, library, demands)
     q = pack(tx.q_columns, cfg.N)
     views = []
@@ -1368,14 +1386,12 @@ def test_users_missing_no_subfile_need_no_key_shares():
     assert all(base.missing_subfile_indices(cfg, k) == () for k in range(1, 5))
     lib = random_library(2, 4, 4, 9)
     keys = KeyMaterial.generate(4, 1, 2, 9)
-    placement = lift_place(base, cfg, (1,), lib, keys, enforce_private=False)
+    placement = lift_place(base, cfg, (1,), lib, keys)
     assert all(label[0] == "W" for cache in placement for label in cache)
     for engine in ("factored", "full"):
         report = verify_privacy_exact(LiftedInstance(base, cfg, (1,)), engine=engine)
         assert report.engine == engine and report.private
         assert all(u.mi_bits == 0 and isinstance(u.mi_bits, Fraction) for u in report.users)
-    with pytest.raises(ValueError):
-        lift_place(base, cfg, (1,), lib, keys)
 
 
 def _per_state_full_engine(en):
